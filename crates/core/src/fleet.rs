@@ -1,13 +1,13 @@
 //! Fleet-scale serving: replica routing, autoscaling, and
-//! prefill/decode disaggregation over the single-node batcher.
+//! prefill/decode disaggregation over the continuous batcher.
 //!
-//! [`crate::serve`] simulates one node under load; the "millions of
-//! users" north-star is a *fleet*. This module puts N replica batchers
-//! (the same [`ServeCost`] economics, SLO classes and KV-reservation
-//! admission as `serve`) behind a deterministic event-driven router
+//! This module holds the repository's only serving event loop. It puts
+//! N replica batchers ([`ServeCost`] economics, SLO classes and
+//! KV-reservation admission) behind a deterministic event-driven router
 //! with pluggable policies ([`RoutePolicy`]): round-robin, least-KV-load
 //! (byte-aware balancing), and session affinity (sticky per-user
-//! routing). On top of the router sit three fleet mechanisms:
+//! routing). A single-node [`ServeBenchmark`] is the fixed one-replica
+//! round-robin fleet. On top of the router sit three fleet mechanisms:
 //!
 //! * **Autoscaling** ([`AutoscaleConfig`]): a periodic queue-depth check
 //!   spins up replicas with a cold-start delay taken from the device
@@ -30,13 +30,16 @@
 //! (`tests/fleet_determinism.rs`), and every scheduling invariant is
 //! property-tested (`tests/fleet_props.rs`): router conservation,
 //! affinity stickiness, budget-aware least-load routing, autoscaler
-//! hysteresis, and the prefix-reuse bound.
+//! hysteresis, and the prefix-reuse bound. Debug builds also assert the
+//! event loop's invariants at every event: request conservation, KV
+//! reservations within budget, a monotone clock and arrival-ordered
+//! class queues.
 
 use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext, RunOutcome};
-use crate::fom::{FleetFom, LatencyPercentiles};
+use crate::fom::FleetFom;
 use crate::serve::{
-    arrival_trace, PhaseLog, Request, RequestOutcome, RequestRecord, Running, ServeBenchmark,
-    ServeConfig, ServeCost, ServePoint, ShedReason, SloClass,
+    arrival_trace, Request, RequestOutcome, RequestRecord, ServeBenchmark, ServeConfig, ServeCost,
+    ServePoint, ShedReason, SloClass, StepSnapshot, Tally,
 };
 use crate::sweep::{ShardPlan, ShardedSweep, SweepRunner};
 use caraml_accel::{AccelError, Link, NodeConfig, PhaseKind, Precision, SystemId};
@@ -236,8 +239,8 @@ pub struct ReplicaReport {
 /// Raw output of one fleet simulation, before power measurement.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// Terminal per-request records (same conservation guarantee as the
-    /// single-node batcher: exactly one terminal state per request).
+    /// Terminal per-request records: exactly one terminal state per
+    /// request.
     pub records: Vec<RequestRecord>,
     /// One routing decision per request, in arrival order.
     pub decisions: Vec<RouteDecision>,
@@ -336,7 +339,7 @@ impl FleetBenchmark {
         NodeConfig::shared(self.config.serve.system).nodes_for(self.peak_replicas())
     }
 
-    fn validate(&self, point: ServePoint) -> Result<(), AccelError> {
+    fn validate(&self, node: &NodeConfig, point: ServePoint) -> Result<(), AccelError> {
         ServeBenchmark {
             config: self.config.serve.clone(),
         }
@@ -370,7 +373,6 @@ impl FleetBenchmark {
             }
         }
         // Every precision a replica can ever run at must fit the device.
-        let node = NodeConfig::shared(cfg.serve.system);
         for id in 0..self.peak_replicas() {
             let cost = ServeCost::new(&node.device, &cfg.serve.model, self.precision_of(id));
             if cost.weight_bytes >= node.device.mem_bytes {
@@ -388,8 +390,19 @@ impl FleetBenchmark {
     /// Pure fleet simulation of one load point — no power measurement.
     /// This is what the property and determinism tests drive.
     pub fn simulate(&self, point: ServePoint) -> Result<FleetReport, AccelError> {
-        self.validate(point)?;
-        Ok(simulate_fleet(self, point))
+        self.simulate_on(&NodeConfig::shared(self.config.serve.system), point, None)
+    }
+
+    /// [`FleetBenchmark::simulate`] on an explicit node, with an optional
+    /// observer called before every decode step of every replica.
+    pub(crate) fn simulate_on(
+        &self,
+        node: &NodeConfig,
+        point: ServePoint,
+        observer: Option<&mut dyn FnMut(&StepSnapshot)>,
+    ) -> Result<FleetReport, AccelError> {
+        self.validate(node, point)?;
+        Ok(simulate_fleet(self, node, point, observer))
     }
 
     /// Run one load point end-to-end: simulate the fleet, then meter
@@ -421,14 +434,7 @@ impl FleetBenchmark {
         point: ServePoint,
         policies: Vec<RoutePolicy>,
     ) -> Vec<RunOutcome<FleetFom>> {
-        let base = self.config.clone();
-        runner.map(policies, move |policy| {
-            let bench = FleetBenchmark {
-                config: base.clone(),
-            }
-            .with_policy(policy);
-            RunOutcome::from_result(bench.run(point))
-        })
+        runner.map(policies, |policy| self.run_policy(policy, point))
     }
 
     /// [`FleetBenchmark::sweep_policies`] sharded across a [`SlurmSim`]
@@ -442,21 +448,20 @@ impl FleetBenchmark {
         point: ServePoint,
         policies: Vec<RoutePolicy>,
     ) -> ShardedSweep<RunOutcome<FleetFom>> {
-        let base = self.config.clone();
+        let base = self.clone();
         let nodes = self.nodes_required();
         SweepRunner::parallel().map_sharded_with(
             slurm,
             plan,
             policies,
             |_| nodes,
-            move |policy| {
-                let bench = FleetBenchmark {
-                    config: base.clone(),
-                }
-                .with_policy(policy);
-                RunOutcome::from_result(bench.run(point))
-            },
+            move |policy| base.run_policy(policy, point),
         )
+    }
+
+    /// One cell of a policy sweep: this fleet under `policy` at `point`.
+    fn run_policy(&self, policy: RoutePolicy, point: ServePoint) -> RunOutcome<FleetFom> {
+        RunOutcome::from_result(self.clone().with_policy(policy).run(point))
     }
 
     fn assemble_fom(
@@ -466,41 +471,13 @@ impl FleetBenchmark {
         energy_wh: f64,
         mean_power_w: f64,
     ) -> FleetFom {
-        let slo = &self.config.serve.slo;
-        let mut ttfts = Vec::new();
-        let mut tpots = Vec::new();
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        let mut slo_met = 0u64;
-        let mut goodput_tokens = 0u64;
-        for rec in &report.records {
-            match rec.outcome {
-                RequestOutcome::Served {
-                    first_token_s,
-                    finish_s,
-                    tokens,
-                    ..
-                } => {
-                    served += 1;
-                    let ttft = first_token_s - rec.arrival_s;
-                    let tpot = if tokens > 1 {
-                        (finish_s - first_token_s) / (tokens - 1) as f64
-                    } else {
-                        0.0
-                    };
-                    ttfts.push(ttft);
-                    tpots.push(tpot);
-                    if ttft <= slo.ttft_deadline_s(rec.class)
-                        && tpot <= slo.tpot_deadline_s(rec.class)
-                    {
-                        slo_met += 1;
-                        goodput_tokens += tokens;
-                    }
-                }
-                RequestOutcome::Shed { .. } => shed += 1,
-            }
-        }
-        let makespan = report.makespan_s.max(f64::MIN_POSITIVE);
+        let tally = Tally::new(
+            &report.records,
+            &self.config.serve.slo,
+            report.served_tokens,
+            report.makespan_s,
+            energy_wh,
+        );
         let (up, down) = report
             .scale_events
             .iter()
@@ -519,22 +496,14 @@ impl FleetBenchmark {
             replicas_base: self.config.replicas,
             replicas_peak: report.replicas_peak,
             requests: report.records.len() as u64,
-            served,
-            shed,
-            ttft: LatencyPercentiles::from_unsorted(ttfts).unwrap_or_else(LatencyPercentiles::zero),
-            tpot: LatencyPercentiles::from_unsorted(tpots).unwrap_or_else(LatencyPercentiles::zero),
-            tokens_per_s: report.served_tokens as f64 / makespan,
-            goodput_tokens_per_s: goodput_tokens as f64 / makespan,
-            slo_attainment: if served > 0 {
-                slo_met as f64 / served as f64
-            } else {
-                0.0
-            },
-            energy_wh_per_ktoken: if report.served_tokens > 0 {
-                energy_wh * 1000.0 / report.served_tokens as f64
-            } else {
-                0.0
-            },
+            served: tally.served,
+            shed: tally.shed,
+            ttft: tally.ttft,
+            tpot: tally.tpot,
+            tokens_per_s: tally.tokens_per_s,
+            goodput_tokens_per_s: tally.goodput_tokens_per_s,
+            slo_attainment: tally.slo_attainment,
+            energy_wh_per_ktoken: tally.energy_wh_per_ktoken,
             mean_fleet_power_w: mean_power_w,
             scale_up_events: up,
             scale_down_events: down,
@@ -602,6 +571,57 @@ struct PendingDecode {
     kv_reserved: u64,
 }
 
+/// A request currently decoding.
+struct Running {
+    idx: usize,
+    remaining: u64,
+    /// KV tokens currently resident (grows by one per decode step).
+    kv_tokens: u64,
+    /// Full-lifetime KV reservation, bytes.
+    kv_reserved: u64,
+}
+
+/// Phase accumulator that merges exact-duplicate consecutive phases (a
+/// long idle gap or a run of identical decode steps become one phase).
+struct PhaseLog {
+    phases: Vec<PhaseSpec>,
+    t: f64,
+}
+
+impl PhaseLog {
+    fn new() -> Self {
+        PhaseLog {
+            phases: Vec::new(),
+            t: 0.0,
+        }
+    }
+
+    fn push(&mut self, kind: PhaseKind, label: &'static str, duration_s: f64, u: f64, w: f64) {
+        if duration_s <= 0.0 {
+            return;
+        }
+        self.t += duration_s;
+        if let Some(last) = self.phases.last_mut() {
+            if last.kind == kind
+                && last.label == label
+                && last.utilization == u
+                && last.sustained_w == w
+            {
+                last.duration_s += duration_s;
+                return;
+            }
+        }
+        self.phases.push(PhaseSpec {
+            kind,
+            label,
+            active: 1,
+            duration_s,
+            utilization: u,
+            sustained_w: w,
+        });
+    }
+}
+
 struct Replica {
     id: u32,
     role: ReplicaRole,
@@ -633,6 +653,9 @@ struct Shared<'t> {
     batch_cap: u32,
     link: Link,
     records: Vec<Option<RequestRecord>>,
+    /// Requests that reached their terminal state (debug conservation
+    /// check).
+    terminal: u64,
     admit_seq: u32,
     served_tokens: u64,
     admitted_prompt_tokens: u64,
@@ -641,15 +664,21 @@ struct Shared<'t> {
     handoffs: Vec<Handoff>,
     handoff_count: u64,
     handoff_bytes: u64,
+    /// Called with each replica's batch just before its decode step.
+    observer: Option<&'t mut dyn FnMut(&StepSnapshot)>,
 }
 
-fn shed_record(r: &Request, at_s: f64, reason: ShedReason) -> RequestRecord {
-    RequestRecord {
-        id: r.id,
-        class: r.class,
-        arrival_s: r.arrival_s,
-        gen_tokens: r.gen_tokens,
-        outcome: RequestOutcome::Shed { at_s, reason },
+impl Shared<'_> {
+    fn shed(&mut self, i: usize, at_s: f64, reason: ShedReason) {
+        let r = &self.trace[i].base;
+        self.records[i] = Some(RequestRecord {
+            id: r.id,
+            class: r.class,
+            arrival_s: r.arrival_s,
+            gen_tokens: r.gen_tokens,
+            outcome: RequestOutcome::Shed { at_s, reason },
+        });
+        self.terminal += 1;
     }
 }
 
@@ -661,7 +690,6 @@ fn class_slot(c: SloClass) -> usize {
 }
 
 impl Replica {
-    #[allow(clippy::too_many_arguments)]
     fn provision(
         id: u32,
         role: ReplicaRole,
@@ -694,7 +722,6 @@ impl Replica {
         } else {
             (ReplicaState::Active, now)
         };
-        let ready = ready_at_s;
         Replica {
             id,
             role,
@@ -702,8 +729,8 @@ impl Replica {
             cost,
             kv_budget,
             state,
-            ready_at_s: ready,
-            busy_until_s: ready,
+            ready_at_s,
+            busy_until_s: ready_at_s,
             log,
             queues: [VecDeque::new(), VecDeque::new()],
             queued_kv_demand: 0,
@@ -773,21 +800,15 @@ impl Replica {
         // Shed expired queue heads. Arrival order is FIFO per class and
         // the wait budget is uniform within a class, so waits are
         // monotone: once the head is inside budget the rest are too.
-        for queue in self.queues.iter_mut() {
-            while let Some(&i) = queue.front() {
+        for slot in 0..self.queues.len() {
+            while let Some(&i) = self.queues[slot].front() {
                 let r = &sh.trace[i].base;
-                if now - r.arrival_s > sh.cfg.serve.slo.max_queue_wait_s(r.class) {
-                    queue.pop_front();
-                    self.queued_kv_demand -= if self.role == ReplicaRole::Prefill {
-                        (self.cost.kv_bytes_per_token * (r.prompt_tokens + 1) as f64) as u64
-                    } else {
-                        (self.cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64)
-                            as u64
-                    };
-                    sh.records[i] = Some(shed_record(r, now, ShedReason::DeadlineExceeded));
-                } else {
+                if now - r.arrival_s <= sh.cfg.serve.slo.max_queue_wait_s(r.class) {
                     break;
                 }
+                self.queues[slot].pop_front();
+                self.queued_kv_demand -= self.lifetime_kv(r);
+                sh.shed(i, now, ShedReason::DeadlineExceeded);
             }
         }
 
@@ -814,29 +835,23 @@ impl Replica {
         // Queue admission: class priority, FIFO within a class, bounded
         // by the occupancy cap and the KV budget.
         let mut admitted: Vec<usize> = Vec::new();
-        'admit: for queue in self.queues.iter_mut() {
+        'admit: for slot in 0..self.queues.len() {
             while (self.running.len() + admitted.len()) < sh.batch_cap as usize {
-                let Some(&i) = queue.front() else {
+                let Some(&i) = self.queues[slot].front() else {
                     break;
                 };
-                let r = &sh.trace[i].base;
-                let tokens = if self.role == ReplicaRole::Prefill {
-                    r.prompt_tokens + 1
-                } else {
-                    r.prompt_tokens + r.gen_tokens
-                };
-                let needed = (self.cost.kv_bytes_per_token * tokens as f64) as u64;
+                let needed = self.lifetime_kv(&sh.trace[i].base);
                 if needed > self.kv_budget {
                     // Can never fit this replica: shed explicitly.
-                    queue.pop_front();
+                    self.queues[slot].pop_front();
                     self.queued_kv_demand -= needed;
-                    sh.records[i] = Some(shed_record(r, now, ShedReason::KvCacheOverflow));
+                    sh.shed(i, now, ShedReason::KvCacheOverflow);
                     continue;
                 }
                 if self.kv_reserved + needed > self.kv_budget {
                     continue 'admit;
                 }
-                queue.pop_front();
+                self.queues[slot].pop_front();
                 self.queued_kv_demand -= needed;
                 self.kv_reserved += needed;
                 admitted.push(i);
@@ -874,12 +889,7 @@ impl Replica {
             let mut handoff_bytes = 0u64;
             for &i in &admitted {
                 let r = &sh.trace[i].base;
-                let reserved = (self.cost.kv_bytes_per_token
-                    * (if self.role == ReplicaRole::Prefill {
-                        r.prompt_tokens + 1
-                    } else {
-                        r.prompt_tokens + r.gen_tokens
-                    }) as f64) as u64;
+                let reserved = self.lifetime_kv(r);
                 sh.records[i] = Some(RequestRecord {
                     id: r.id,
                     class: r.class,
@@ -902,10 +912,12 @@ impl Replica {
                     // The prefill emitted the single requested token.
                     self.kv_reserved -= reserved;
                     sh.served_tokens += r.gen_tokens;
+                    sh.terminal += 1;
                 } else if self.role == ReplicaRole::Prefill {
+                    // A prefill replica reserves exactly the prompt + first
+                    // token it hands off.
                     staged.push((i, reserved));
-                    handoff_bytes +=
-                        (self.cost.kv_bytes_per_token * (r.prompt_tokens + 1) as f64) as u64;
+                    handoff_bytes += reserved;
                 } else {
                     self.running.push(Running {
                         idx: i,
@@ -954,6 +966,16 @@ impl Replica {
         // One decode step over the whole running batch.
         self.pad_idle_to(now);
         let kv_tokens: u64 = self.running.iter().map(|r| r.kv_tokens).sum();
+        if let Some(observe) = sh.observer.as_deref_mut() {
+            observe(&StepSnapshot {
+                t_s: self.log.t,
+                step: self.decode_steps,
+                occupancy: self.running.len() as u32,
+                kv_tokens,
+                kv_reserved_bytes: self.kv_reserved,
+                kv_budget_bytes: self.kv_budget,
+            });
+        }
         let (dt, u) = self.cost.decode_step(self.running.len() as u32, kv_tokens);
         self.log
             .push(PhaseKind::Compute, "decode", dt, u, self.cost.sustained_w);
@@ -963,6 +985,7 @@ impl Replica {
         let finish = self.log.t;
         let records = &mut sh.records;
         let served_tokens = &mut sh.served_tokens;
+        let terminal = &mut sh.terminal;
         let kv_reserved = &mut self.kv_reserved;
         self.running.retain_mut(|run| {
             run.remaining -= 1;
@@ -971,6 +994,7 @@ impl Replica {
                 return true;
             }
             *kv_reserved -= run.kv_reserved;
+            *terminal += 1;
             if let Some(rec) = records[run.idx].as_mut() {
                 if let RequestOutcome::Served {
                     finish_s, tokens, ..
@@ -987,80 +1011,109 @@ impl Replica {
     }
 }
 
-/// Route one arrival among the candidate replicas. `candidates` are
-/// indices into `replicas`, in id order, all routable.
-#[allow(clippy::too_many_arguments)]
-fn route_arrival(
-    replicas: &mut [Replica],
-    candidates: &[usize],
-    fr: &FleetRequest,
+/// The router: the routing policy with its round-robin cursor and
+/// session pins, plus candidate and headroom buffers reused across
+/// arrivals.
+struct Router {
     policy: RoutePolicy,
-    rr_counter: &mut u64,
-    session_map: &mut [Option<u32>],
-    scale_epoch: u32,
-    now: f64,
-) -> RouteDecision {
-    debug_assert!(!candidates.is_empty(), "router always has a candidate");
-    let headroom: Vec<i64> = candidates
-        .iter()
-        .map(|&c| replicas[c].headroom_for(&fr.base))
-        .collect();
-    let best_headroom = *headroom.iter().max().expect("non-empty");
-    let pick_rr = |rr: &mut u64| {
-        let c = candidates[(*rr % candidates.len() as u64) as usize];
-        *rr += 1;
-        c
-    };
-    let chosen = match policy {
-        RoutePolicy::RoundRobin => pick_rr(rr_counter),
-        RoutePolicy::LeastKvLoad => {
-            // Max headroom, ties to the lowest replica id.
-            let mut best = candidates[0];
-            let mut best_h = headroom[0];
-            for (k, &c) in candidates.iter().enumerate().skip(1) {
-                if headroom[k] > best_h {
-                    best = c;
-                    best_h = headroom[k];
+    rr_counter: u64,
+    session_map: Vec<Option<u32>>,
+    candidates: Vec<usize>,
+    headroom: Vec<i64>,
+}
+
+impl Router {
+    /// Route arrival `idx` of `trace` to one of the routable replicas and
+    /// queue it there.
+    fn route(
+        &mut self,
+        replicas: &mut [Replica],
+        trace: &[FleetRequest],
+        idx: usize,
+        scale_epoch: u32,
+        now: f64,
+    ) -> RouteDecision {
+        let fr = &trace[idx];
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        candidates.extend(
+            replicas
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.is_routable())
+                .map(|(k, _)| k),
+        );
+        debug_assert!(!candidates.is_empty(), "router always has a candidate");
+        let headroom = &mut self.headroom;
+        headroom.clear();
+        headroom.extend(
+            candidates
+                .iter()
+                .map(|&c| replicas[c].headroom_for(&fr.base)),
+        );
+        let best_headroom = *headroom.iter().max().expect("non-empty");
+        let pick_rr = |rr: &mut u64| {
+            let c = candidates[(*rr % candidates.len() as u64) as usize];
+            *rr += 1;
+            c
+        };
+        let chosen = match self.policy {
+            RoutePolicy::RoundRobin => pick_rr(&mut self.rr_counter),
+            RoutePolicy::LeastKvLoad => {
+                // Max headroom, ties to the lowest replica id.
+                let mut best = candidates[0];
+                let mut best_h = headroom[0];
+                for (k, &c) in candidates.iter().enumerate().skip(1) {
+                    if headroom[k] > best_h {
+                        best = c;
+                        best_h = headroom[k];
+                    }
+                }
+                best
+            }
+            RoutePolicy::SessionAffinity => {
+                let slot = fr.session as usize;
+                let sticky = self.session_map[slot]
+                    .and_then(|rid| candidates.iter().copied().find(|&c| replicas[c].id == rid));
+                match sticky {
+                    Some(c) => c,
+                    None => {
+                        let c = pick_rr(&mut self.rr_counter);
+                        self.session_map[slot] = Some(replicas[c].id);
+                        c
+                    }
                 }
             }
-            best
+        };
+        let chosen_headroom = headroom[candidates
+            .iter()
+            .position(|&c| c == chosen)
+            .expect("chosen is a candidate")];
+        let rep = &mut replicas[chosen];
+        rep.queued_kv_demand += rep.lifetime_kv(&fr.base);
+        let queue = &mut rep.queues[class_slot(fr.base.class)];
+        // Head-only shedding needs monotone queue waits: arrivals join a
+        // class queue in arrival order.
+        debug_assert!(queue
+            .back()
+            .is_none_or(|&j| trace[j].base.arrival_s <= fr.base.arrival_s));
+        queue.push_back(idx);
+        RouteDecision {
+            request: fr.base.id,
+            at_s: now,
+            replica: rep.id,
+            session: fr.session,
+            chosen_headroom,
+            best_headroom,
+            scale_epoch,
         }
-        RoutePolicy::SessionAffinity => {
-            let slot = fr.session as usize;
-            let sticky = session_map[slot]
-                .and_then(|rid| candidates.iter().copied().find(|&c| replicas[c].id == rid));
-            match sticky {
-                Some(c) => c,
-                None => {
-                    let c = pick_rr(rr_counter);
-                    session_map[slot] = Some(replicas[c].id);
-                    c
-                }
-            }
-        }
-    };
-    let chosen_headroom = headroom[candidates
-        .iter()
-        .position(|&c| c == chosen)
-        .expect("chosen is a candidate")];
-    let rep = &mut replicas[chosen];
-    rep.queued_kv_demand += rep.lifetime_kv(&fr.base);
-    rep.queues[class_slot(fr.base.class)].push_back(fr.base.id as usize);
-    RouteDecision {
-        request: fr.base.id,
-        at_s: now,
-        replica: rep.id,
-        session: fr.session,
-        chosen_headroom,
-        best_headroom,
-        scale_epoch,
     }
 }
 
-/// Deliver one handoff: pick the decode replica with the most free KV
-/// space (ties to the lowest id); requests that can never fit any
-/// decode budget are shed.
-fn deliver_handoff(replicas: &mut [Replica], sh_trace: &[FleetRequest], h: &Handoff) -> Delivery {
+/// Deliver one handoff: queue it on the decode replica with the most
+/// free KV space (ties to the lowest id). Returns false when it can never
+/// fit any decode budget; the caller sheds it.
+fn deliver_handoff(replicas: &mut [Replica], sh_trace: &[FleetRequest], h: &Handoff) -> bool {
     let r = &sh_trace[h.idx].base;
     let mut best: Option<(usize, i128)> = None;
     for (k, rep) in replicas.iter().enumerate() {
@@ -1069,7 +1122,7 @@ fn deliver_handoff(replicas: &mut [Replica], sh_trace: &[FleetRequest], h: &Hand
         {
             continue;
         }
-        let needed = (rep.cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64) as u64;
+        let needed = rep.lifetime_kv(r);
         if needed > rep.kv_budget {
             continue; // can never fit this replica
         }
@@ -1081,34 +1134,30 @@ fn deliver_handoff(replicas: &mut [Replica], sh_trace: &[FleetRequest], h: &Hand
             best = Some((k, free));
         }
     }
-    match best {
-        None => Delivery::Shed,
-        Some((k, _)) => {
-            let rep = &mut replicas[k];
-            let needed =
-                (rep.cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64) as u64;
-            rep.pending_kv_demand += needed;
-            rep.pending.push_back(PendingDecode {
-                idx: h.idx,
-                kv_reserved: needed,
-            });
-            Delivery::Queued
-        }
-    }
-}
-
-enum Delivery {
-    Queued,
-    Shed,
+    let Some((k, _)) = best else {
+        return false;
+    };
+    let rep = &mut replicas[k];
+    let needed = rep.lifetime_kv(r);
+    rep.pending_kv_demand += needed;
+    rep.pending.push_back(PendingDecode {
+        idx: h.idx,
+        kv_reserved: needed,
+    });
+    true
 }
 
 /// The fleet event loop. Global discrete-event simulation: deliveries,
 /// arrivals, autoscaler checks and replica rounds are processed at each
 /// event time in a fixed order, so the run is a pure deterministic
 /// function of the config and load point.
-fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
+fn simulate_fleet(
+    bench: &FleetBenchmark,
+    node: &NodeConfig,
+    point: ServePoint,
+    observer: Option<&mut dyn FnMut(&StepSnapshot)>,
+) -> FleetReport {
     let cfg = &bench.config;
-    let node = NodeConfig::shared(cfg.serve.system);
     let trace = fleet_trace(cfg, point.rate_per_s);
     let n = trace.len();
 
@@ -1127,7 +1176,7 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
                 id,
                 initial_role(id),
                 bench.precision_of(id),
-                &node,
+                node,
                 cfg,
                 0.0,
                 false,
@@ -1141,6 +1190,7 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
         batch_cap: point.batch_cap,
         link: *node.kv_transfer_link(),
         records: vec![None; n],
+        terminal: 0,
         admit_seq: 0,
         served_tokens: 0,
         admitted_prompt_tokens: 0,
@@ -1149,12 +1199,18 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
         handoffs: Vec::new(),
         handoff_count: 0,
         handoff_bytes: 0,
+        observer: observer.map(|o| o as &mut dyn FnMut(&StepSnapshot)),
     };
 
     let mut decisions: Vec<RouteDecision> = Vec::with_capacity(n);
     let mut scale_events: Vec<ScaleEvent> = Vec::new();
-    let mut session_map: Vec<Option<u32>> = vec![None; cfg.sessions as usize];
-    let mut rr_counter = 0u64;
+    let mut router = Router {
+        policy: cfg.policy,
+        rr_counter: 0,
+        session_map: vec![None; cfg.sessions as usize],
+        candidates: Vec::new(),
+        headroom: Vec::new(),
+    };
     let mut next_arrival = 0usize;
     let mut now = 0.0f64;
     let mut t_check = cfg.autoscale.map(|a| a.check_interval_s);
@@ -1175,10 +1231,8 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
             if sh.handoffs[i].deliver_s <= now {
                 let h = sh.handoffs.remove(i);
                 replicas[h.src as usize].kv_reserved -= h.src_reserved;
-                if let Delivery::Shed = deliver_handoff(&mut replicas, sh.trace, &h) {
-                    let r = &sh.trace[h.idx].base;
-                    sh.records[h.idx] =
-                        Some(shed_record(r, h.deliver_s, ShedReason::KvCacheOverflow));
+                if !deliver_handoff(&mut replicas, sh.trace, &h) {
+                    sh.shed(h.idx, h.deliver_s, ShedReason::KvCacheOverflow);
                 }
             } else {
                 i += 1;
@@ -1187,25 +1241,15 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
 
         // 3. Route arrivals whose time has come.
         while next_arrival < n && trace[next_arrival].base.arrival_s <= now {
-            let candidates: Vec<usize> = replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.is_routable())
-                .map(|(k, _)| k)
-                .collect();
-            decisions.push(route_arrival(
+            decisions.push(router.route(
                 &mut replicas,
-                &candidates,
-                &trace[next_arrival],
-                cfg.policy,
-                &mut rr_counter,
-                &mut session_map,
+                &trace,
+                next_arrival,
                 scale_events.len() as u32,
                 now,
             ));
             next_arrival += 1;
         }
-
         // 4. Autoscaler check.
         if let (Some(a), Some(tc)) = (&cfg.autoscale, t_check) {
             if tc <= now {
@@ -1239,7 +1283,7 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
                             id,
                             role,
                             bench.precision_of(id),
-                            &node,
+                            node,
                             cfg,
                             now,
                             true,
@@ -1291,14 +1335,32 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
             }
         }
 
-        // 6. Done when the trace is exhausted and the fleet is drained.
+        // 6. Invariants (debug builds, O(replicas) per event): every
+        // arrived request is queued, pending, running, in a handoff or
+        // terminal, and no replica's reservations exceed its budget.
+        if cfg!(debug_assertions) {
+            let mut held = sh.handoffs.len() as u64 + sh.terminal;
+            for rep in &replicas {
+                held += (rep.queued() + rep.running.len()) as u64;
+                debug_assert!(
+                    rep.kv_reserved <= rep.kv_budget,
+                    "replica {} reserved {} over budget {}",
+                    rep.id,
+                    rep.kv_reserved,
+                    rep.kv_budget
+                );
+            }
+            debug_assert_eq!(held, next_arrival as u64, "request conservation");
+        }
+
+        // 7. Done when the trace is exhausted and the fleet is drained.
         let work_left =
             next_arrival < n || !sh.handoffs.is_empty() || replicas.iter().any(|r| r.has_work());
         if !work_left {
             break;
         }
 
-        // 7. Advance the clock to the next event.
+        // 8. Advance the clock to the next event.
         let mut next = f64::INFINITY;
         if next_arrival < n {
             next = next.min(trace[next_arrival].base.arrival_s);
@@ -1321,6 +1383,7 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
             next = next.min(tc);
         }
         debug_assert!(next.is_finite(), "pending work must imply a future event");
+        debug_assert!(next >= now, "the clock never runs backwards");
         if next > now {
             now = next;
         }
@@ -1370,6 +1433,29 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
     }
 }
 
+/// The engine plan that meters one device's phase schedule: the weights
+/// resident, jpwr sampling at 600 points over `[0, makespan]`. Shared by
+/// every serving replica and by [`ServeBenchmark::run`].
+pub(crate) fn metered_plan(
+    weight_bytes: u64,
+    phases: Vec<PhaseSpec>,
+    makespan_s: f64,
+) -> PhasePlan {
+    let makespan = makespan_s.max(f64::MIN_POSITIVE);
+    PhasePlan {
+        allocations: vec![("weights", weight_bytes)],
+        phases,
+        meter: MeterSpec {
+            devices: 1,
+            prefix: "dev",
+            method: "pynvml",
+            interval_s: (makespan / 600.0).max(1e-4),
+            window: (0.0, makespan),
+        },
+        timeline_devices: 0,
+    }
+}
+
 /// One replica's phase schedule as an engine workload, for power
 /// metering on a fresh context.
 struct ReplicaPhases<'a> {
@@ -1387,21 +1473,13 @@ impl engine::Workload for ReplicaPhases<'_> {
     }
 
     fn plan(&self, _ctx: &RunContext) -> Result<((), PhasePlan), AccelError> {
-        let makespan = self.makespan_s.max(f64::MIN_POSITIVE);
         Ok((
             (),
-            PhasePlan {
-                allocations: vec![("weights", self.replica.weight_bytes)],
-                phases: self.replica.phases.clone(),
-                meter: MeterSpec {
-                    devices: 1,
-                    prefix: "dev",
-                    method: "pynvml",
-                    interval_s: (makespan / 600.0).max(1e-4),
-                    window: (0.0, makespan),
-                },
-                timeline_devices: 0,
-            },
+            metered_plan(
+                self.replica.weight_bytes,
+                self.replica.phases.clone(),
+                self.makespan_s,
+            ),
         ))
     }
 

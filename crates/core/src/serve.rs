@@ -12,6 +12,12 @@
 //! deterministic given the seed — no wall clock anywhere — so load
 //! sweeps run in tier-1 tests, bit-identical across thread counts.
 //!
+//! A serving node is the one-replica fleet: [`ServeBenchmark`] owns no
+//! event loop and runs through [`crate::fleet`]'s replica batcher behind
+//! a fixed round-robin router (one session, no prefix reuse, no
+//! autoscaling, no disaggregation). Single-node and fleet numbers
+//! therefore come from one batcher and one figure-of-merit tally.
+//!
 //! The simulator emits serving figures of merit ([`ServeFom`]): p50/p95/
 //! p99 time-to-first-token and per-token latency, goodput (SLO-met
 //! tokens/s), Wh per kilo-token under load, and the device power duty
@@ -21,10 +27,11 @@
 //! ## Batching policy
 //!
 //! * **Admission at decode boundaries.** Between decode steps the
-//!   batcher sweeps the queue: expired requests (queue wait already past
-//!   the TTFT budget) are shed, then requests are admitted in class
-//!   priority order (Interactive before Batch, FIFO within a class)
-//!   while the occupancy cap and the KV-cache budget allow.
+//!   batcher sheds expired queue heads (queue wait already past the
+//!   TTFT budget; waits are monotone within a class queue), then admits
+//!   requests in class priority order (Interactive before Batch, FIFO
+//!   within a class) while the occupancy cap and the KV-cache budget
+//!   allow.
 //! * **Prefill interleaving.** Admitted requests prefill immediately
 //!   (compute-bound phase, all admitted prompts at once); running
 //!   requests stall meanwhile, which is exactly the prefill-induced
@@ -37,17 +44,15 @@
 //!   `Served`/`Shed` — the property tests in `tests/serve_props.rs` pin
 //!   this, along with FIFO-within-class and the occupancy/memory caps.
 
-use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext, RunOutcome};
+use crate::engine::{self, Executed, PhasePlan, PhaseSpec, RunContext, RunOutcome};
+use crate::fleet::{self, FleetBenchmark, FleetConfig, RoutePolicy};
 use crate::fom::{LatencyPercentiles, ServeFom};
 use crate::sweep::SweepRunner;
 use caraml_accel::spec::{DeviceSpec, Workload as SpecWorkload};
-use caraml_accel::{
-    AccelError, KernelProfile, NodeConfig, PhaseKind, Precision, RooflineModel, SystemId,
-};
+use caraml_accel::{AccelError, KernelProfile, NodeConfig, Precision, RooflineModel, SystemId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Per-step launch overhead, seconds — decode loops are CUDA-graph
 /// captured (same constant as the offline inference benchmark).
@@ -300,21 +305,16 @@ impl ServeBenchmark {
     /// Run a load grid through a [`SweepRunner`]; outcomes come back in
     /// grid order regardless of execution order.
     pub fn sweep(&self, runner: SweepRunner, points: Vec<ServePoint>) -> Vec<RunOutcome<ServeFom>> {
-        runner.map(points, |p| {
-            engine::execute(&ServeWorkload {
-                bench: self,
-                point: p,
-            })
+        runner.map(points, |point| {
+            engine::execute(&ServeWorkload { bench: self, point })
         })
     }
 
     /// Pure batching simulation of one load point — no node, no power
     /// measurement. This is what the property tests drive; the engine
-    /// path runs the identical function against the context's spec.
+    /// path runs the identical simulation against the context's node.
     pub fn simulate(&self, point: ServePoint) -> Result<SimReport, AccelError> {
-        self.validate(point)?;
-        let node = NodeConfig::shared(self.config.system);
-        simulate_on_spec(&node.device, &self.config, point)
+        self.simulate_on(&NodeConfig::shared(self.config.system), point, None)
     }
 
     /// [`ServeBenchmark::simulate`] with a per-decode-step observer: the
@@ -327,9 +327,53 @@ impl ServeBenchmark {
         point: ServePoint,
         observer: &mut dyn FnMut(&StepSnapshot),
     ) -> Result<SimReport, AccelError> {
-        self.validate(point)?;
-        let node = NodeConfig::shared(self.config.system);
-        simulate_on_spec_observed(&node.device, &self.config, point, Some(observer))
+        self.simulate_on(
+            &NodeConfig::shared(self.config.system),
+            point,
+            Some(observer),
+        )
+    }
+
+    /// The fixed fleet this benchmark runs as: one replica behind a
+    /// round-robin router, one session, no prefix reuse, no autoscaling
+    /// and no disaggregation.
+    fn as_fleet(&self) -> FleetBenchmark {
+        FleetBenchmark {
+            config: FleetConfig {
+                serve: self.config.clone(),
+                replicas: 1,
+                policy: RoutePolicy::RoundRobin,
+                autoscale: None,
+                disaggregated: false,
+                sessions: 1,
+                prefix_groups: 0,
+                shared_prefix_tokens: 0,
+                replica_precisions: None,
+            },
+        }
+    }
+
+    /// Simulate on `node` as the one-replica fleet and project the fleet
+    /// report onto the single-node view.
+    fn simulate_on(
+        &self,
+        node: &NodeConfig,
+        point: ServePoint,
+        observer: Option<&mut dyn FnMut(&StepSnapshot)>,
+    ) -> Result<SimReport, AccelError> {
+        let fleet = self.as_fleet().simulate_on(node, point, observer)?;
+        let [replica] = <[_; 1]>::try_from(fleet.replicas).expect("one-replica fleet");
+        Ok(SimReport {
+            records: fleet.records,
+            phases: replica.phases,
+            makespan_s: fleet.makespan_s,
+            max_occupancy: replica.max_occupancy,
+            max_kv_reserved_bytes: replica.max_kv_reserved_bytes,
+            kv_budget_bytes: replica.kv_budget_bytes,
+            weight_bytes: replica.weight_bytes,
+            decode_steps: fleet.decode_steps,
+            served_tokens: fleet.served_tokens,
+        })
     }
 
     pub(crate) fn validate(&self, point: ServePoint) -> Result<(), AccelError> {
@@ -442,9 +486,7 @@ fn geometric(rng: &mut ChaCha8Rng, mean: f64) -> u64 {
     }
 }
 
-/// Cost model of the serving loop on one device. Shared with the fleet
-/// simulator (`crate::fleet`), which runs the same per-replica batcher
-/// economics behind a router.
+/// Cost model of one serving replica on one device.
 pub(crate) struct ServeCost {
     pub(crate) fwd_flops_per_token: f64,
     pub(crate) weight_bytes: u64,
@@ -507,69 +549,11 @@ impl ServeCost {
     }
 }
 
-/// A request currently decoding.
-pub(crate) struct Running {
-    pub(crate) idx: usize,
-    pub(crate) remaining: u64,
-    /// KV tokens currently resident (grows by one per decode step).
-    pub(crate) kv_tokens: u64,
-    /// Full-lifetime KV reservation, bytes.
-    pub(crate) kv_reserved: u64,
-}
-
-/// Phase accumulator that merges exact-duplicate consecutive phases (a
-/// long idle gap or a run of identical decode steps become one phase).
-pub(crate) struct PhaseLog {
-    pub(crate) phases: Vec<PhaseSpec>,
-    pub(crate) t: f64,
-}
-
-impl PhaseLog {
-    pub(crate) fn new() -> Self {
-        PhaseLog {
-            phases: Vec::new(),
-            t: 0.0,
-        }
-    }
-
-    pub(crate) fn push(
-        &mut self,
-        kind: PhaseKind,
-        label: &'static str,
-        duration_s: f64,
-        u: f64,
-        w: f64,
-    ) {
-        if duration_s <= 0.0 {
-            return;
-        }
-        self.t += duration_s;
-        if let Some(last) = self.phases.last_mut() {
-            if last.kind == kind
-                && last.label == label
-                && last.utilization == u
-                && last.sustained_w == w
-            {
-                last.duration_s += duration_s;
-                return;
-            }
-        }
-        self.phases.push(PhaseSpec {
-            kind,
-            label,
-            active: 1,
-            duration_s,
-            utilization: u,
-            sustained_w: w,
-        });
-    }
-}
-
 /// State of the batcher at one decode-step boundary, as reported to a
 /// step observer (see [`ServeBenchmark::simulate_observed`]): the batch
 /// about to decode and the KV accounting it runs under. Lets external
-/// invariant tests (the fleet property suite in particular) assert KV
-/// budgets per step without re-implementing the simulator.
+/// invariant tests assert KV budgets per step without re-implementing
+/// the simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepSnapshot {
     /// Virtual time at the start of the decode step, seconds.
@@ -586,299 +570,36 @@ pub struct StepSnapshot {
     pub kv_budget_bytes: u64,
 }
 
-/// The event loop: drive the arrival trace through the continuous
-/// batcher against `spec`, producing the phase schedule and per-request
-/// records. Deterministic — pure math over the seeded trace.
-fn simulate_on_spec(
-    spec: &DeviceSpec,
-    cfg: &ServeConfig,
-    point: ServePoint,
-) -> Result<SimReport, AccelError> {
-    simulate_on_spec_observed(spec, cfg, point, None)
+/// The request-level figures of merit shared by [`ServeFom`] and
+/// [`crate::fom::FleetFom`]: one tally over the terminal records, so
+/// single-node and fleet serving count TTFT, TPOT, SLO attainment,
+/// goodput and Wh/ktoken at the same boundary.
+pub(crate) struct Tally {
+    pub(crate) served: u64,
+    pub(crate) shed: u64,
+    pub(crate) ttft: LatencyPercentiles,
+    pub(crate) tpot: LatencyPercentiles,
+    pub(crate) tokens_per_s: f64,
+    pub(crate) goodput_tokens_per_s: f64,
+    pub(crate) slo_attainment: f64,
+    pub(crate) energy_wh_per_ktoken: f64,
 }
 
-/// [`simulate_on_spec`] with an optional per-decode-step observer. The
-/// observer is invoked with a [`StepSnapshot`] immediately before each
-/// decode step executes; it never feeds back into the simulation, so the
-/// observed run is bit-identical to the unobserved one.
-pub(crate) fn simulate_on_spec_observed(
-    spec: &DeviceSpec,
-    cfg: &ServeConfig,
-    point: ServePoint,
-    mut observer: Option<&mut dyn FnMut(&StepSnapshot)>,
-) -> Result<SimReport, AccelError> {
-    let cost = ServeCost::new(spec, &cfg.model, cfg.precision);
-    if cost.weight_bytes >= spec.mem_bytes {
-        return Err(AccelError::OutOfMemory {
-            device: spec.name.clone(),
-            requested: cost.weight_bytes,
-            available: spec.mem_bytes,
-            capacity: spec.mem_bytes,
-        });
-    }
-    let kv_budget = ((spec.mem_bytes - cost.weight_bytes) as f64 * cfg.kv_mem_frac) as u64;
-
-    let trace = arrival_trace(cfg, point.rate_per_s);
-    let mut records: Vec<Option<RequestRecord>> = vec![None; trace.len()];
-    let mut log = PhaseLog::new();
-
-    // Queues of indices into `trace`, FIFO per class.
-    let mut queues: [VecDeque<usize>; 2] = [VecDeque::new(), VecDeque::new()];
-    let mut running: Vec<Running> = Vec::new();
-    let mut next_arrival = 0usize; // first trace index not yet queued
-    let mut kv_reserved_total = 0u64;
-    let mut admit_seq = 0u32;
-
-    let mut max_occupancy = 0u32;
-    let mut max_kv_reserved = 0u64;
-    let mut decode_steps = 0u64;
-    let mut served_tokens = 0u64;
-
-    let class_slot = |c: SloClass| match c {
-        SloClass::Interactive => 0usize,
-        SloClass::Batch => 1usize,
-    };
-
-    loop {
-        // Pull arrivals whose time has come into their class queue.
-        while next_arrival < trace.len() && trace[next_arrival].arrival_s <= log.t {
-            let r = &trace[next_arrival];
-            queues[class_slot(r.class)].push_back(next_arrival);
-            next_arrival += 1;
-        }
-
-        // Shed queued requests whose wait already blew the budget.
-        for queue in queues.iter_mut() {
-            queue.retain(|&i| {
-                let r = &trace[i];
-                if log.t - r.arrival_s > cfg.slo.max_queue_wait_s(r.class) {
-                    records[i] = Some(RequestRecord {
-                        id: r.id,
-                        class: r.class,
-                        arrival_s: r.arrival_s,
-                        gen_tokens: r.gen_tokens,
-                        outcome: RequestOutcome::Shed {
-                            at_s: log.t,
-                            reason: ShedReason::DeadlineExceeded,
-                        },
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        // Admission: class priority order, FIFO inside a class, bounded
-        // by the occupancy cap and the KV budget.
-        let mut admitted: Vec<usize> = Vec::new();
-        'admit: for queue in queues.iter_mut() {
-            while (running.len() + admitted.len()) < point.batch_cap as usize {
-                let Some(&i) = queue.front() else {
-                    break;
-                };
-                let r = &trace[i];
-                let kv_needed =
-                    (cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64) as u64;
-                if kv_needed > kv_budget {
-                    // Can never fit: shed explicitly instead of livelocking.
-                    queue.pop_front();
-                    records[i] = Some(RequestRecord {
-                        id: r.id,
-                        class: r.class,
-                        arrival_s: r.arrival_s,
-                        gen_tokens: r.gen_tokens,
-                        outcome: RequestOutcome::Shed {
-                            at_s: log.t,
-                            reason: ShedReason::KvCacheOverflow,
-                        },
-                    });
-                    continue;
-                }
-                if kv_reserved_total + kv_needed > kv_budget {
-                    // Blocked until running requests release their KV;
-                    // no bypass within the class (FIFO), try next class.
-                    continue 'admit;
-                }
-                queue.pop_front();
-                kv_reserved_total += kv_needed;
-                admitted.push(i);
-            }
-        }
-
-        if !admitted.is_empty() {
-            // Prefill all admitted prompts at once; running requests
-            // stall (decode resumes after — prefill interleaving).
-            let prompt_total: u64 = admitted.iter().map(|&i| trace[i].prompt_tokens).sum();
-            let (dt, u) = cost.prefill(prompt_total);
-            let admit_s = log.t;
-            log.push(PhaseKind::Compute, "prefill", dt, u, cost.sustained_w);
-            for &i in &admitted {
-                let r = &trace[i];
-                let kv_reserved =
-                    (cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64) as u64;
-                let first_token_s = log.t;
-                if r.gen_tokens <= 1 {
-                    // The prefill emitted the single requested token.
-                    kv_reserved_total -= kv_reserved;
-                    served_tokens += r.gen_tokens;
-                    records[i] = Some(RequestRecord {
-                        id: r.id,
-                        class: r.class,
-                        arrival_s: r.arrival_s,
-                        gen_tokens: r.gen_tokens,
-                        outcome: RequestOutcome::Served {
-                            admit_seq,
-                            admit_s,
-                            first_token_s,
-                            finish_s: first_token_s,
-                            tokens: r.gen_tokens,
-                        },
-                    });
-                } else {
-                    records[i] = Some(RequestRecord {
-                        id: r.id,
-                        class: r.class,
-                        arrival_s: r.arrival_s,
-                        gen_tokens: r.gen_tokens,
-                        outcome: RequestOutcome::Served {
-                            admit_seq,
-                            admit_s,
-                            first_token_s,
-                            finish_s: f64::NAN, // patched at completion
-                            tokens: r.gen_tokens,
-                        },
-                    });
-                    running.push(Running {
-                        idx: i,
-                        remaining: r.gen_tokens - 1,
-                        kv_tokens: r.prompt_tokens + 1,
-                        kv_reserved,
-                    });
-                }
-                admit_seq += 1;
-            }
-            max_occupancy = max_occupancy.max(running.len() as u32);
-            max_kv_reserved = max_kv_reserved.max(kv_reserved_total);
-            continue; // re-enter admission before the next decode step
-        }
-
-        if running.is_empty() {
-            let queued = queues[0].len() + queues[1].len();
-            if queued > 0 {
-                // Admission above sheds or admits whenever nothing runs,
-                // so a queued request here means it is waiting on a KV
-                // release that can no longer happen — unreachable, but
-                // keep the loop guarded.
-                unreachable!("queued requests with an empty running batch");
-            }
-            if next_arrival >= trace.len() {
-                break; // drained
-            }
-            let gap = trace[next_arrival].arrival_s - log.t;
-            log.push(PhaseKind::Idle, "idle", gap, 0.0, cost.sustained_w);
-            // Degenerate gap (duplicate arrival times): force progress.
-            if gap <= 0.0 {
-                let r = &trace[next_arrival];
-                queues[class_slot(r.class)].push_back(next_arrival);
-                next_arrival += 1;
-            }
-            continue;
-        }
-
-        // One decode step over the whole running batch.
-        let kv_tokens: u64 = running.iter().map(|r| r.kv_tokens).sum();
-        if let Some(obs) = observer.as_deref_mut() {
-            obs(&StepSnapshot {
-                t_s: log.t,
-                step: decode_steps,
-                occupancy: running.len() as u32,
-                kv_tokens,
-                kv_reserved_bytes: kv_reserved_total,
-                kv_budget_bytes: kv_budget,
-            });
-        }
-        let (dt, u) = cost.decode_step(running.len() as u32, kv_tokens);
-        log.push(PhaseKind::Compute, "decode", dt, u, cost.sustained_w);
-        decode_steps += 1;
-        let now = log.t;
-        running.retain_mut(|run| {
-            run.remaining -= 1;
-            run.kv_tokens += 1;
-            if run.remaining > 0 {
-                return true;
-            }
-            let r = &trace[run.idx];
-            kv_reserved_total -= run.kv_reserved;
-            served_tokens += r.gen_tokens;
-            if let Some(rec) = records[run.idx].as_mut() {
-                if let RequestOutcome::Served { finish_s, .. } = &mut rec.outcome {
-                    *finish_s = now;
-                }
-            }
-            false
-        });
-    }
-
-    let records: Vec<RequestRecord> = records
-        .into_iter()
-        .map(|r| r.expect("every request reaches a terminal state"))
-        .collect();
-    Ok(SimReport {
-        makespan_s: log.t,
-        phases: log.phases,
-        records,
-        max_occupancy,
-        max_kv_reserved_bytes: max_kv_reserved,
-        kv_budget_bytes: kv_budget,
-        weight_bytes: cost.weight_bytes,
-        decode_steps,
-        served_tokens,
-    })
-}
-
-/// One load point of a [`ServeBenchmark`] as an engine workload.
-pub struct ServeWorkload<'a> {
-    pub bench: &'a ServeBenchmark,
-    pub point: ServePoint,
-}
-
-impl engine::Workload for ServeWorkload<'_> {
-    type Plan = SimReport;
-    type Output = ServeFom;
-
-    fn system(&self) -> SystemId {
-        self.bench.config.system
-    }
-
-    fn plan(&self, ctx: &RunContext) -> Result<(SimReport, PhasePlan), AccelError> {
-        self.bench.validate(self.point)?;
-        let report = simulate_on_spec(ctx.device(0).spec(), &self.bench.config, self.point)?;
-        let makespan = report.makespan_s;
-        let plan = PhasePlan {
-            allocations: vec![("weights", report.weight_bytes)],
-            phases: report.phases.clone(),
-            meter: MeterSpec {
-                devices: 1,
-                prefix: "dev",
-                method: "pynvml",
-                interval_s: (makespan / 600.0).max(1e-4),
-                window: (0.0, makespan),
-            },
-            timeline_devices: 0,
-        };
-        Ok((report, plan))
-    }
-
-    fn finish(&self, report: SimReport, exec: Executed, ctx: &RunContext) -> ServeFom {
-        let slo = &self.bench.config.slo;
+impl Tally {
+    pub(crate) fn new(
+        records: &[RequestRecord],
+        slo: &SloPolicy,
+        served_tokens: u64,
+        makespan_s: f64,
+        energy_wh: f64,
+    ) -> Tally {
         let mut ttfts = Vec::new();
         let mut tpots = Vec::new();
         let mut served = 0u64;
         let mut shed = 0u64;
         let mut slo_met = 0u64;
         let mut goodput_tokens = 0u64;
-        for rec in &report.records {
+        for rec in records {
             match rec.outcome {
                 RequestOutcome::Served {
                     first_token_s,
@@ -905,8 +626,61 @@ impl engine::Workload for ServeWorkload<'_> {
                 RequestOutcome::Shed { .. } => shed += 1,
             }
         }
+        let makespan = makespan_s.max(f64::MIN_POSITIVE);
+        Tally {
+            served,
+            shed,
+            ttft: LatencyPercentiles::from_unsorted(ttfts).unwrap_or_else(LatencyPercentiles::zero),
+            tpot: LatencyPercentiles::from_unsorted(tpots).unwrap_or_else(LatencyPercentiles::zero),
+            tokens_per_s: served_tokens as f64 / makespan,
+            goodput_tokens_per_s: goodput_tokens as f64 / makespan,
+            slo_attainment: if served > 0 {
+                slo_met as f64 / served as f64
+            } else {
+                0.0
+            },
+            energy_wh_per_ktoken: if served_tokens > 0 {
+                energy_wh * 1000.0 / served_tokens as f64
+            } else {
+                0.0
+            },
+        }
+    }
+}
+
+/// One load point of a [`ServeBenchmark`] as an engine workload.
+pub struct ServeWorkload<'a> {
+    pub bench: &'a ServeBenchmark,
+    pub point: ServePoint,
+}
+
+impl engine::Workload for ServeWorkload<'_> {
+    type Plan = SimReport;
+    type Output = ServeFom;
+
+    fn system(&self) -> SystemId {
+        self.bench.config.system
+    }
+
+    fn plan(&self, ctx: &RunContext) -> Result<(SimReport, PhasePlan), AccelError> {
+        let report = self.bench.simulate_on(ctx.config(), self.point, None)?;
+        let plan = fleet::metered_plan(
+            report.weight_bytes,
+            report.phases.clone(),
+            report.makespan_s,
+        );
+        Ok((report, plan))
+    }
+
+    fn finish(&self, report: SimReport, exec: Executed, ctx: &RunContext) -> ServeFom {
+        let tally = Tally::new(
+            &report.records,
+            &self.bench.config.slo,
+            report.served_tokens,
+            report.makespan_s,
+            exec.measurement.df.energy_wh(0),
+        );
         let makespan = report.makespan_s.max(f64::MIN_POSITIVE);
-        let energy_wh = exec.measurement.df.energy_wh(0);
         let idle_w = ctx.device(0).power_model().idle_w;
         ServeFom {
             system: ctx.config().platform.clone(),
@@ -914,22 +688,14 @@ impl engine::Workload for ServeWorkload<'_> {
             rate_per_s: self.point.rate_per_s,
             batch_cap: self.point.batch_cap,
             requests: report.records.len() as u64,
-            served,
-            shed,
-            ttft: LatencyPercentiles::from_unsorted(ttfts).unwrap_or_else(LatencyPercentiles::zero),
-            tpot: LatencyPercentiles::from_unsorted(tpots).unwrap_or_else(LatencyPercentiles::zero),
-            tokens_per_s: report.served_tokens as f64 / makespan,
-            goodput_tokens_per_s: goodput_tokens as f64 / makespan,
-            slo_attainment: if served > 0 {
-                slo_met as f64 / served as f64
-            } else {
-                0.0
-            },
-            energy_wh_per_ktoken: if report.served_tokens > 0 {
-                energy_wh * 1000.0 / report.served_tokens as f64
-            } else {
-                0.0
-            },
+            served: tally.served,
+            shed: tally.shed,
+            ttft: tally.ttft,
+            tpot: tally.tpot,
+            tokens_per_s: tally.tokens_per_s,
+            goodput_tokens_per_s: tally.goodput_tokens_per_s,
+            slo_attainment: tally.slo_attainment,
+            energy_wh_per_ktoken: tally.energy_wh_per_ktoken,
             mean_power_w: exec.measurement.mean_power_w(0),
             peak_power_w: exec.measurement.peak_power_w(0),
             busy_fraction: ctx.device(0).power_register().busy_fraction(

@@ -54,25 +54,22 @@ figures:
 sweep-bench:
     cargo bench -p caraml-bench --bench sweep_runner
 
-# Serving-only slice of the suite: simulator unit tests, batcher
-# property tests, the 1/2/4-thread determinism harness, and the
-# SlurmSim scheduler coverage the load sweeps lean on. All of these
-# also run under plain `cargo test` (and therefore `just verify`).
-test-serve:
-    cargo test -p caraml --lib serve -q
-    cargo test -p caraml --test serve_props -q
-    cargo test -p caraml --test serve_determinism -q
-    cargo test -p jube --test slurm_sim -q
-
-# Fleet-serving slice: router/autoscaler/disaggregation unit tests, the
-# scheduling-invariant property suite (incl. the pinned 10⁵-request
-# acceptance scenarios), and the fleet determinism harness — the latter
-# re-run with the SIMD dispatcher forced off, since the fleet FOM bits
-# must not depend on the dispatch arm.
+# Serving slice (serve is the one-replica fleet, so this is one slice):
+# serve/fleet unit tests, the batcher and scheduling-invariant property
+# suites (incl. the pinned 10⁵-request acceptance scenarios), the
+# SlurmSim scheduler coverage the load sweeps lean on, and both
+# determinism harnesses (incl. the golden serve grid) — re-run with the
+# SIMD dispatcher forced off, since the serving FOM bits must not
+# depend on the dispatch arm.
 test-fleet:
+    cargo test -p caraml --lib serve -q
     cargo test -p caraml --lib fleet -q
+    cargo test -p caraml --test serve_props -q
     cargo test -p caraml --test fleet_props -q
+    cargo test -p jube --test slurm_sim -q
+    cargo test -p caraml --test serve_determinism -q
     cargo test -p caraml --test fleet_determinism -q
+    CARAML_SIMD=off cargo test -p caraml --test serve_determinism -q
     CARAML_SIMD=off cargo test -p caraml --test fleet_determinism -q
 
 # Scheduler-focused slice: SlurmSim unit tests, the FIFO-starvation and
