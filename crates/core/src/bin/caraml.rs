@@ -121,6 +121,18 @@ fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Optio
     }
 }
 
+/// `--tolerance <F>`: the relative noise band of a gate, `default` when
+/// the flag is absent. Negative or non-finite bands are rejected.
+fn tolerance_flag(args: &[String], default: f64) -> Result<f64, String> {
+    match flag_value::<f64>(args, "--tolerance")? {
+        None => Ok(default),
+        Some(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        Some(t) => Err(format!(
+            "--tolerance must be a non-negative number, got {t}"
+        )),
+    }
+}
+
 /// Parse `--precision <tag|all>` into the precision tiers to sweep.
 /// `None` when the flag is absent; unknown values are rejected with the
 /// registry-style error listing every valid tag (plus `all`).
@@ -758,8 +770,8 @@ fn run_scenario(args: &[String]) -> ExitCode {
 
 /// `caraml trend`: analyse the history store — rolling-median/MAD
 /// anomalies, step changes, sparklines — and render the report. With
-/// `--gate`, also run the direction-aware latest-vs-previous generation
-/// gate and exit nonzero on regression.
+/// `--gate`, also run the direction-aware gate (each scenario's latest
+/// generation against its previous one) and exit nonzero on regression.
 fn run_trend(args: &[String]) -> ExitCode {
     let history_path = args
         .iter()
@@ -800,21 +812,21 @@ fn run_trend(args: &[String]) -> ExitCode {
         print!("{}", render_trend_report(&report));
     }
     if args.iter().any(|a| a == "--gate") {
-        let tolerance = match flag_value::<f64>(args, "--tolerance") {
-            Ok(t) => t.unwrap_or(cfg.tolerance),
+        let tolerance = match tolerance_flag(args, cfg.tolerance) {
+            Ok(t) => t,
             Err(e) => {
                 eprintln!("caraml: {e}");
                 return ExitCode::from(2);
             }
         };
         match history.gate(tolerance) {
-            None => println!("gate: fewer than two generations, nothing to compare"),
+            None => println!("gate: no scenario has two generations, nothing to compare"),
             Some(gate) => {
                 print!("{}", gate.summary());
                 if gate.passed() {
                     println!("gate: PASS (tolerance ±{:.1}%)", tolerance * 100.0);
                 } else {
-                    println!("gate: FAIL — {} regression(s)", gate.regressions().len());
+                    println!("gate: FAIL — {}", gate.failure_counts());
                     return ExitCode::FAILURE;
                 }
             }
@@ -830,12 +842,13 @@ fn run_baseline(args: &[String]) -> ExitCode {
     }
     let (action, file) = (pos[0].as_str(), pos[1].as_str());
     let tag = rest.first().map(String::as_str).unwrap_or("A100");
-    let tolerance = pos
-        .iter()
-        .position(|a| a == "--tolerance")
-        .and_then(|i| pos.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.05);
+    let tolerance = match tolerance_flag(&pos, 0.05) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("caraml: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let measured = match measure_baseline(tag) {
         Ok(b) => b,
         Err(e) => {
@@ -862,7 +875,7 @@ fn run_baseline(args: &[String]) -> ExitCode {
                     println!("PASS (tolerance ±{:.1}%)", tolerance * 100.0);
                     ExitCode::SUCCESS
                 } else {
-                    println!("FAIL: {} regression(s)", report.regressions().len());
+                    println!("FAIL: {}", report.failure_counts());
                     ExitCode::FAILURE
                 }
             }

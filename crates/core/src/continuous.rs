@@ -24,7 +24,7 @@
 //! confusing parse failure one run later.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -452,6 +452,18 @@ impl RegressionReport {
             .any(|f| matches!(f.change, Verdict::Regressed | Verdict::Missing))
     }
 
+    /// Why a failed gate failed: regressed and missing series fail it
+    /// for different reasons, so they are counted apart
+    /// (`2 regressed, 1 missing`).
+    pub fn failure_counts(&self) -> String {
+        let count = |v: Verdict| self.findings.iter().filter(|f| f.change == v).count();
+        format!(
+            "{} regressed, {} missing",
+            count(Verdict::Regressed),
+            count(Verdict::Missing)
+        )
+    }
+
     /// Render a compact summary: verdict, direction marker, key, and the
     /// relative delta (`—` for absent comparisons).
     pub fn summary(&self) -> String {
@@ -482,8 +494,8 @@ pub struct HistoryRecord {
     /// Code-state label, e.g. the short git revision
     /// ([`default_label`]).
     pub label: String,
-    /// Producer name: the scenario that ran, or `bench-json` /
-    /// `bench-check` for kernel snapshots.
+    /// Producer name: the scenario that ran, or `bench-json` for kernel
+    /// snapshots. The gate compares generations of one scenario only.
     pub scenario: String,
     /// SIMD dispatch arm the run executed on (`scalar` / `avx2`).
     pub arm: String,
@@ -664,12 +676,27 @@ impl History {
         map
     }
 
-    /// The metrics of one generation as a [`Baseline`] (labelled with
-    /// the generation's first record label).
-    pub fn generation_baseline(&self, generation: u64) -> Baseline {
+    /// The generations `scenario` has recorded, ascending.
+    pub fn generations(&self, scenario: &str) -> Vec<u64> {
+        let set: BTreeSet<u64> = self
+            .records
+            .iter()
+            .filter(|r| r.scenario == scenario)
+            .map(|r| r.generation)
+            .collect();
+        set.into_iter().collect()
+    }
+
+    /// The metrics `scenario` recorded in one generation as a
+    /// [`Baseline`] (labelled with the first matching record's label).
+    pub fn generation_baseline(&self, scenario: &str, generation: u64) -> Baseline {
         let mut label = String::new();
         let mut baseline = Baseline::new("");
-        for rec in self.records.iter().filter(|r| r.generation == generation) {
+        for rec in self
+            .records
+            .iter()
+            .filter(|r| r.scenario == scenario && r.generation == generation)
+        {
             if label.is_empty() {
                 label = rec.label.clone();
             }
@@ -682,21 +709,24 @@ impl History {
         baseline
     }
 
-    /// The direction-aware CI gate over the trajectory: compare the
-    /// latest generation against the one before it. `None` when the
-    /// history holds fewer than two generations.
+    /// The direction-aware CI gate over the trajectory: for every
+    /// scenario, compare its latest generation against its own previous
+    /// one, so kernel snapshots and scenario runs can share one file.
+    /// `None` when no scenario has two generations.
     pub fn gate(&self, tolerance: f64) -> Option<RegressionReport> {
-        let latest = self.records.iter().map(|r| r.generation).max()?;
-        let previous = self
-            .records
-            .iter()
-            .map(|r| r.generation)
-            .filter(|&g| g < latest)
-            .max()?;
-        Some(
-            self.generation_baseline(previous)
-                .compare(&self.generation_baseline(latest), tolerance),
-        )
+        let scenarios: BTreeSet<&str> = self.records.iter().map(|r| r.scenario.as_str()).collect();
+        let mut findings = Vec::new();
+        let mut gated = false;
+        for scenario in scenarios {
+            if let [.., previous, latest] = self.generations(scenario)[..] {
+                gated = true;
+                let report = self
+                    .generation_baseline(scenario, previous)
+                    .compare(&self.generation_baseline(scenario, latest), tolerance);
+                findings.extend(report.findings);
+            }
+        }
+        gated.then_some(RegressionReport { findings })
     }
 }
 
@@ -1006,6 +1036,56 @@ mod tests {
         assert_eq!(gate.regressions().len(), 1);
         assert_eq!(gate.regressions()[0].key, "serve/p99_ttft_s");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gate_compares_each_scenario_with_its_own_previous_generation() {
+        let record = |generation: u64, scenario: &str, arm: &str, key: &str, value: f64| {
+            HistoryRecord::new(generation, "rev", scenario, arm, "-", key, value).unwrap()
+        };
+        let quickstart = |generation| {
+            [("serve/p99_ttft_s", 0.10), ("serve/tokens_per_s", 900.0)]
+                .map(|(key, value)| record(generation, "quickstart", "avx2", key, value))
+        };
+        let kernels = |generation, matmul_ms| {
+            [
+                ("default", "bench/matmul/256/median_ms", matmul_ms),
+                ("scalar", "bench/matmul/256/median_ms", 0.8),
+                ("default", "bench/gelu/128/median_ms", 0.15),
+            ]
+            .map(|(arm, key, ms)| record(generation, "bench-json", arm, key, ms))
+        };
+        let mut history = History::default();
+        history.records.extend(quickstart(0));
+        history.records.extend(quickstart(1));
+        history.records.extend(kernels(2, 0.5));
+        // The kernel snapshot is the latest generation, but it is not
+        // compared with the quickstart run before it: nothing is missing.
+        let gate = history.gate(0.05).expect("quickstart has two generations");
+        assert!(gate.passed(), "{}", gate.summary());
+        assert_eq!(gate.findings.len(), 2);
+        assert!(gate.findings.iter().all(|f| f.change == Verdict::Stable));
+
+        // A second kernel snapshot with matmul 30% slower fails, and only
+        // on that series; the quickstart pair still compares clean.
+        history.records.extend(kernels(3, 0.65));
+        let gate = history.gate(0.05).unwrap();
+        assert!(!gate.passed());
+        let regressed: Vec<&str> = gate.regressions().iter().map(|f| f.key.as_str()).collect();
+        assert_eq!(regressed, ["bench/matmul/256/median_ms"]);
+        assert_eq!(gate.findings.len(), 5);
+        assert_eq!(gate.failure_counts(), "1 regressed, 0 missing");
+    }
+
+    #[test]
+    fn gate_needs_two_generations_of_one_scenario() {
+        let history = History {
+            records: vec![
+                HistoryRecord::new(0, "a", "quickstart", "-", "-", "k/tokens_per_s", 1.0).unwrap(),
+                HistoryRecord::new(1, "b", "bench-json", "-", "-", "k/median_ms", 1.0).unwrap(),
+            ],
+        };
+        assert!(history.gate(0.05).is_none());
     }
 
     #[test]

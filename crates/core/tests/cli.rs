@@ -474,3 +474,68 @@ fn trend_on_a_missing_history_renders_an_empty_report() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("history is empty"));
 }
+
+#[test]
+fn trend_gate_compares_each_scenario_apart_and_counts_missing_series() {
+    use caraml::continuous::{History, HistoryRecord};
+
+    let jsonl = cli_temp("scenarios.jsonl");
+    let _ = std::fs::remove_file(&jsonl);
+    let record = |generation: u64, scenario: &str, key: &str, value: f64| {
+        HistoryRecord::new(generation, "rev", scenario, "default", "-", key, value).unwrap()
+    };
+    let gate = |jsonl: &std::path::Path| {
+        caraml()
+            .args(["trend", "--history"])
+            .arg(jsonl)
+            .arg("--gate")
+            .output()
+            .unwrap()
+    };
+    // Two scenario generations, then a kernel snapshot: the snapshot is
+    // not compared with the scenario run before it.
+    let mut records = Vec::new();
+    for generation in [0, 1] {
+        records.push(record(generation, "quickstart", "serve/p99_ttft_s", 0.1));
+    }
+    records.push(record(2, "bench-json", "bench/matmul/256/median_ms", 0.6));
+    records.push(record(2, "bench-json", "bench/conv2d/stem/median_ms", 30.0));
+    History::append_to(&jsonl, &records).unwrap();
+    let out = gate(&jsonl);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout: {stdout}");
+    assert!(stdout.contains("gate: PASS"), "stdout: {stdout}");
+
+    // A second snapshot without the conv series fails as missing, and
+    // the FAIL line says so instead of "0 regression(s)".
+    History::append_to(
+        &jsonl,
+        &[record(3, "bench-json", "bench/matmul/256/median_ms", 0.6)],
+    )
+    .unwrap();
+    let out = gate(&jsonl);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("gate: FAIL — 0 regressed, 1 missing"),
+        "stdout: {stdout}"
+    );
+    std::fs::remove_file(&jsonl).unwrap();
+}
+
+#[test]
+fn baseline_compare_rejects_a_malformed_tolerance() {
+    let file = cli_temp("tolerance.json");
+    for bad in ["5%", "-0.1", "NaN"] {
+        let out = caraml()
+            .args(["baseline", "compare"])
+            .arg(&file)
+            .args(["--tag", "H100", "--tolerance", bad])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--tolerance {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--tolerance"), "{bad}: {stderr}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("PASS"));
+    }
+}

@@ -1,7 +1,8 @@
 //! Property tests of the continuous-benchmarking store: non-finite
 //! rejection at every ingress, JSONL round-trip fidelity of the history
-//! record schema, and the direction-classification convention over
-//! randomly assembled metric keys.
+//! record schema, the direction-classification convention over
+//! randomly assembled metric keys, and a parser that never panics on a
+//! damaged `results.jsonl`.
 
 use caraml::continuous::{Baseline, ContinuousError, Direction, History, HistoryRecord, Verdict};
 use proptest::prelude::*;
@@ -40,6 +41,75 @@ fn segment() -> impl Strategy<Value = String> {
 
 fn non_finite() -> impl Strategy<Value = f64> {
     prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY),]
+}
+
+/// Characters JSON is made of, so random text gets past the parser's
+/// first byte.
+const JSON_ALPHABET: &[char] = &[
+    '{', '}', '[', ']', '"', ':', ',', '-', '+', '.', 'e', 'E', '0', '1', '9', 'n', 'u', 'l', 't',
+    'r', 'f', 'a', 's', ' ', '\\',
+];
+
+/// The loader's whole contract on damaged input: `Ok` with only valid
+/// records, or a typed error — never a panic.
+fn load_never_panics(text: &str) -> Result<(), String> {
+    match History::from_jsonl(text) {
+        Ok(history) => {
+            for rec in &history.records {
+                if rec.schema != caraml::continuous::HISTORY_SCHEMA || !rec.value.is_finite() {
+                    return Err(format!("accepted an invalid record: {rec:?}"));
+                }
+            }
+            Ok(())
+        }
+        Err(
+            ContinuousError::Parse { .. }
+            | ContinuousError::Schema { .. }
+            | ContinuousError::NonFinite { .. },
+        ) => Ok(()),
+        Err(e) => Err(format!("unexpected error kind: {e:?}")),
+    }
+}
+
+/// One way to damage a valid `results.jsonl` line.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    Truncate,
+    FlipByte,
+    DropField,
+    NullValue,
+}
+
+/// Apply `damage` to a valid compact record line; `at` and `byte` pick
+/// the position and replacement byte where the damage needs them.
+fn damage(line: &str, damage: Damage, at: usize, byte: u8) -> String {
+    match damage {
+        Damage::Truncate => line[..at % line.len()].to_string(),
+        Damage::FlipByte => {
+            let mut bytes = line.as_bytes().to_vec();
+            let i = at % bytes.len();
+            bytes[i] ^= byte.max(1);
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        Damage::DropField | Damage::NullValue => {
+            let serde_json::Value::Map(mut fields) = serde_json::parse(line).unwrap() else {
+                unreachable!("a record serializes to an object")
+            };
+            match damage {
+                Damage::DropField => {
+                    fields.remove(at % fields.len());
+                }
+                _ => {
+                    for (name, value) in fields.iter_mut() {
+                        if name == "value" {
+                            *value = serde_json::Value::Null;
+                        }
+                    }
+                }
+            }
+            serde_json::to_string(&serde_json::Value::Map(fields)).unwrap()
+        }
+    }
 }
 
 proptest! {
@@ -154,6 +224,53 @@ proptest! {
         let report = baseline.compare(&better, tolerance);
         for f in &report.findings {
             prop_assert_eq!(f.change, Verdict::Improved, "key {}", &f.key);
+        }
+    }
+
+    /// Arbitrary bytes — raw, and drawn from JSON's own alphabet so the
+    /// parser gets past the first byte — load as `Ok` or a typed error.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_loader(
+        raw in prop::collection::vec(0u8..=255, 0..256),
+        jsonish in prop::collection::vec(prop::sample::select(JSON_ALPHABET), 0..64),
+    ) {
+        let text = String::from_utf8_lossy(&raw);
+        prop_assert!(load_never_panics(&text).is_ok());
+        let jsonish: String = jsonish.into_iter().collect();
+        prop_assert!(load_never_panics(&jsonish).is_ok());
+        // Deep nesting must be refused, not recursed into until the
+        // stack overflows.
+        let nested = format!("{}{jsonish}", "[".repeat(raw.len() * 512));
+        prop_assert!(load_never_panics(&nested).is_ok());
+    }
+
+    /// A valid line damaged one way — truncated, one byte flipped, a
+    /// field dropped, or `value` set to `null` — between valid lines
+    /// loads as `Ok` or a typed error. Dropping a field or nulling the
+    /// value must be an error: every field is required and values are
+    /// finite.
+    #[test]
+    fn damaged_lines_never_panic_the_loader(
+        generation in 0u64..1000,
+        segs in prop::collection::vec("[a-z0-9_]{1,8}", 1..4),
+        value in prop::num::f64::NORMAL,
+        kind in prop::sample::select(&[
+            Damage::Truncate,
+            Damage::FlipByte,
+            Damage::DropField,
+            Damage::NullValue,
+        ]),
+        at in 0usize..4096,
+        byte in 0u8..=255,
+    ) {
+        let rec = HistoryRecord::new(generation, "rev", "quickstart", "avx2", "bf16", segs.join("/"), value)
+            .unwrap();
+        let line = serde_json::to_string(&rec).unwrap();
+        let bad = damage(&line, kind, at, byte);
+        let text = format!("{line}\n{bad}\n{line}\n");
+        prop_assert!(load_never_panics(&text).is_ok(), "{:?} of {}: {}", kind, line, bad);
+        if matches!(kind, Damage::DropField | Damage::NullValue) {
+            prop_assert!(History::from_jsonl(&text).is_err(), "{:?}: {}", kind, bad);
         }
     }
 }

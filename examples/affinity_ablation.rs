@@ -4,12 +4,20 @@
 //! cores or threads, CPU binding strategies and accelerator affinity in
 //! terms of NUMA domains."
 //!
+//! It then prints the cost-model ablations of DESIGN.md §4: ring vs
+//! tree all-reduce, activation-recomputation strategies, and the
+//! pipeline bubble over the micro-batch count.
+//!
 //! ```text
 //! cargo run --example affinity_ablation -- A100
 //! ```
 
 use caraml_suite::caraml::resnet::ResnetBenchmark;
-use caraml_suite::caraml_accel::{BindingPolicy, NodeConfig, SystemId};
+use caraml_suite::caraml_accel::{BindingPolicy, Link, LinkKind, NodeConfig, SystemId};
+use caraml_suite::caraml_models::gpt::cost::{GptCost, Recompute};
+use caraml_suite::caraml_models::GptConfig;
+use caraml_suite::caraml_parallel::comm::{AllReduceAlgo, CollectiveModel};
+use caraml_suite::caraml_parallel::PipelineSchedule;
 use caraml_suite::jube::{Benchmark, Parameter, ParameterSet, ResultTable, Step};
 use std::collections::BTreeMap;
 
@@ -78,4 +86,45 @@ fn main() {
     table.sort_by_column("global_batch");
     println!("{}", table.to_ascii());
     println!("(the GPU-centric policy of §V-C should rank first)");
+    model_ablations();
+}
+
+/// The design choices of DESIGN.md §4 as model outputs: all-reduce
+/// algorithm, recomputation strategy and pipeline micro-batch count.
+fn model_ablations() {
+    let link = Link::new(LinkKind::InfiniBandNdr, 100.0, 3.0e-6);
+    let ring = CollectiveModel::new(link);
+    let tree = ring.with_algo(AllReduceAlgo::Tree);
+    println!("\nall-reduce over 32 ranks (NDR InfiniBand):");
+    println!(
+        "  1.6 GB: ring {:.3} s, tree {:.3} s",
+        ring.allreduce_s(1_600_000_000, 32),
+        tree.allreduce_s(1_600_000_000, 32)
+    );
+    println!(
+        "  4 KiB:  ring {:.1} us, tree {:.1} us",
+        ring.allreduce_s(4096, 32) * 1e6,
+        tree.allreduce_s(4096, 32) * 1e6
+    );
+
+    println!("\nactivation recomputation, GPT 800M, micro-batch 4:");
+    for r in [Recompute::None, Recompute::Selective, Recompute::Full] {
+        let cost = GptCost::new(GptConfig::gpt_800m()).with_recompute(r);
+        println!(
+            "  {:<9} {:.2} GFLOP/token, {:.2} GiB activations",
+            format!("{r:?}"),
+            cost.train_flops_per_token() / 1e9,
+            cost.activation_bytes_per_device(4, 1, 1) as f64 / (1u64 << 30) as f64
+        );
+    }
+
+    println!("\npipeline bubble, 4 stages:");
+    let sched = PipelineSchedule::new(4, 0.2186);
+    for m in [1u64, 4, 16, 64, 256] {
+        println!(
+            "  m={m:<3} bubble {:>5.1} %, efficiency {:.3}",
+            100.0 * sched.bubble_fraction(m),
+            sched.efficiency(m)
+        );
+    }
 }

@@ -1,15 +1,13 @@
 # Developer task runner. Install `just`, or paste the recipes into a shell.
 
-# Full local gate: formatting, lints as errors, the test suite, a
-# compile check of every bench target (they are not built by `cargo
-# test` and otherwise rot silently), and the tensor suite re-run with
-# the SIMD dispatcher forced to the scalar arm — the portability
-# fallback must stay green, not just compile.
+# Full local gate: formatting, lints as errors (clippy also compiles
+# every bin, incl. `bench_json`), the test suite, and the tensor suite
+# re-run with the SIMD dispatcher forced to the scalar arm — the
+# portability fallback must stay green, not just compile.
 verify:
     cargo fmt --check
     cargo clippy --workspace -- -D warnings
     cargo test -q
-    cargo bench --workspace --no-run
     just check-devices
     just check-scenario
     just test-fleet
@@ -31,8 +29,8 @@ check-scenario:
 
 # Trend analysis over the committed results.jsonl history store: rolling
 # median/MAD anomalies, step changes, and sparklines per metric series.
-# `just trend --gate` also fails on a direction-aware regression between
-# the two latest generations.
+# `just trend --gate` also fails on a direction-aware regression (or a
+# missing series) between each scenario's two latest generations.
 trend *flags="":
     cargo run -q --release -p caraml --bin caraml -- trend --history results.jsonl {{flags}}
 
@@ -49,10 +47,6 @@ figures:
     cargo run -p caraml-bench --bin fig3_resnet
     cargo run -p caraml-bench --bin table3_ipu_resnet
     cargo run -p caraml-bench --bin fig4_heatmaps
-
-# Serial-vs-parallel sweep wall-time comparison (criterion).
-sweep-bench:
-    cargo bench -p caraml-bench --bench sweep_runner
 
 # Serving slice (serve is the one-replica fleet, so this is one slice):
 # serve/fleet unit tests, the batcher and scheduling-invariant property
@@ -89,32 +83,35 @@ test-sched:
 serve-demo tag="H100" *flags="":
     cargo run --release -p caraml --bin caraml -- serve {{tag}} {{flags}}
 
-# Regenerate BENCH_TENSOR.json: GFLOP/s of every hot tensor kernel
-# (GEMM variants, batched matmul, ResNet50-shaped convolutions), GB/s
-# of the fused non-GEMM kernel layer, and end-to-end GPT/ResNet
-# training-step throughput. The file is committed so the repo carries
-# its own perf trajectory.
+# Append one `bench-json` generation to results.jsonl: the median of
+# every hot tensor kernel (GEMM variants, batched matmul, ResNet50-shaped
+# convolutions, the fused non-GEMM layer, the int8 tier, each dual-arm
+# family also pinned to the scalar and AVX2 arms), the training and
+# decode steps, the serve/fleet/sweep simulators, the paper's Fig. 2–4
+# and Table II/III simulator calls, BPE and ring all-reduce. The store
+# is committed so the repo carries its own perf trajectory.
 bench-json:
     cargo run --release -p caraml-bench --bin bench_json
 
 # Quantized-tier slice of the kernel sweep: re-time just the int8
 # quantize/dequantize/GEMM kernels and the per-precision decode steps
-# (all three arms) without the full 15-sample sweep. Prints only — the
-# committed BENCH_TENSOR.json is left untouched.
+# (all three arms) without the full sweep. Prints only — results.jsonl
+# is left untouched.
 bench-quant:
     cargo run --release -p caraml-bench --bin bench_json -- --filter quantize,dequantize,gemm_i8,decode_step
 
-# Perf tripwire: re-time everything and fail if any kernel's median is
-# >25% slower than the committed BENCH_TENSOR.json (kernels faster than
-# 0.25 ms are exempt — pure jitter at that scale). Deliberately NOT part
-# of `just verify`/`just ci`: wall-clock medians on shared or throttled
-# boxes are too noisy for a merge gate; run it manually when touching
-# kernel code.
+# Perf tripwire: re-time everything and fail if any series' median is
+# >25% slower than the latest `bench-json` generation in results.jsonl,
+# or if a stored series is no longer produced (series stored under
+# 0.25 ms are exempt — pure jitter at that scale). Writes nothing.
+# Deliberately NOT part of `just verify`/`just ci`: wall-clock medians
+# on shared or throttled boxes are too noisy for a merge gate; run it
+# manually when touching kernel code.
 bench-check:
     cargo run --release -p caraml-bench --bin bench_json -- --check
 
 # Markdown regression report: re-time everything (including the pinned
-# scalar/avx2 dual-arm sweep) and render speedups against the committed
-# BENCH_TENSOR.json into docs/performance.md.
+# scalar/avx2 dual-arm sweep) and render speedups against the latest
+# `bench-json` generation in results.jsonl into docs/performance.md.
 bench-report:
     cargo run --release -p caraml-bench --bin bench_json -- --report

@@ -125,9 +125,15 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts (upstream
+/// serde_json's default recursion limit). The parser recurses per level,
+/// so an unbounded depth would let a line of `[[[[…` overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parse JSON text into a [`Value`] tree.
@@ -135,6 +141,7 @@ pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -185,8 +192,7 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -194,6 +200,23 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    fn nested(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'[') {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -331,6 +354,15 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).unwrap_err().to_string().contains("nesting"));
+        assert!(parse(&"{\"k\":[".repeat(100_000)).is_err());
+    }
 
     #[test]
     fn round_trips_nested_value() {
