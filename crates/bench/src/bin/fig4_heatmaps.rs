@@ -6,7 +6,7 @@
 //! the paper's "where resources were available".
 
 use caraml::report::render_heatmap;
-use caraml::resnet::{ResnetBenchmark, FIG4_BATCHES};
+use caraml::resnet::{fig4_device_counts, ResnetBenchmark, FIG4_BATCHES};
 use caraml_accel::{NodeConfig, SystemId};
 
 fn main() {
@@ -22,15 +22,7 @@ fn main() {
     ];
     for (letter, sys) in panels {
         let node = NodeConfig::shared(sys);
-        // Device counts: powers of two up to two nodes (or one node where
-        // no interconnect exists).
-        let max_dev = (node.devices_per_node * node.max_nodes.min(2)).max(1);
-        let mut devices: Vec<u32> = Vec::new();
-        let mut d = 1u32;
-        while d <= max_dev {
-            devices.push(d);
-            d *= 2;
-        }
+        let devices = fig4_device_counts(sys);
         let grid = ResnetBenchmark::heatmap(sys, &devices, &FIG4_BATCHES);
         let title = format!("Fig. 4{letter}: {} ({})", node.platform, sys.jube_tag());
         println!("{}", render_heatmap(&title, &devices, &FIG4_BATCHES, &grid));

@@ -12,13 +12,13 @@
 //! cargo run --example affinity_ablation -- A100
 //! ```
 
-use caraml_suite::caraml::resnet::ResnetBenchmark;
-use caraml_suite::caraml_accel::{BindingPolicy, Link, LinkKind, NodeConfig, SystemId};
-use caraml_suite::caraml_models::gpt::cost::{GptCost, Recompute};
-use caraml_suite::caraml_models::GptConfig;
-use caraml_suite::caraml_parallel::comm::{AllReduceAlgo, CollectiveModel};
-use caraml_suite::caraml_parallel::PipelineSchedule;
-use caraml_suite::jube::{Benchmark, Parameter, ParameterSet, ResultTable, Step};
+use caraml::resnet::ResnetBenchmark;
+use caraml_accel::{BindingPolicy, Link, LinkKind, NodeConfig, SystemId};
+use caraml_models::gpt::cost::{GptCost, Recompute};
+use caraml_models::GptConfig;
+use caraml_parallel::comm::{AllReduceAlgo, CollectiveModel};
+use caraml_parallel::PipelineSchedule;
+use jube::{Benchmark, Parameter, ParameterSet, ResultTable, Step};
 use std::collections::BTreeMap;
 
 fn main() {

@@ -6,8 +6,8 @@
 //! cargo run --example jube_workflow -- GC200
 //! ```
 
-use caraml_suite::caraml::suite::resnet50_benchmark;
-use caraml_suite::jube::SlurmSim;
+use caraml::suite::resnet50_benchmark;
+use jube::SlurmSim;
 
 fn main() {
     let tags: Vec<String> = {

@@ -4,9 +4,9 @@
 //! 2. virtual: replay the sampling loop over a simulated GH200 run with
 //!    both backends the paper uses on Grace-Hopper (pynvml + gh/hwmon).
 
-use caraml_suite::caraml_accel::{NodeConfig, SimNode, SystemId};
-use caraml_suite::jpwr::measure::{get_power, sample_virtual};
-use caraml_suite::jpwr::method::{PowerMethod, ProcStatMethod};
+use caraml_accel::{NodeConfig, SimNode, SystemId};
+use jpwr::measure::{get_power, sample_virtual};
+use jpwr::method::{PowerMethod, ProcStatMethod};
 
 fn main() {
     // --- wall-clock mode ---

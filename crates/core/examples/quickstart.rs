@@ -5,9 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use caraml_suite::caraml::llm::LlmBenchmark;
-use caraml_suite::caraml::resnet::ResnetBenchmark;
-use caraml_suite::caraml_accel::SystemId;
+use caraml::llm::LlmBenchmark;
+use caraml::resnet::ResnetBenchmark;
+use caraml_accel::SystemId;
 
 fn main() {
     println!("CARAML-rs quickstart\n====================\n");

@@ -4,9 +4,9 @@
 //! paper's Megatron-LM workload, running on the workspace's own tensor
 //! and autograd stack.
 
-use caraml_suite::caraml_data::{BpeTokenizer, SyntheticCorpus, TokenBatcher};
-use caraml_suite::caraml_models::{GptConfig, GptModel};
-use caraml_suite::caraml_tensor::optim::{Adam, Optimizer};
+use caraml_data::{BpeTokenizer, SyntheticCorpus, TokenBatcher};
+use caraml_models::{GptConfig, GptModel};
+use caraml_tensor::optim::{Adam, Optimizer};
 
 fn main() {
     // 1. Data: synthetic OSCAR-like corpus, GPT-2-style BPE tokenizer.

@@ -31,7 +31,7 @@ use caraml::report::{
     render_device_table, render_fleet_table, render_heatmap, render_precision_table,
     render_scenario_outcome, render_serve_table, render_shard_table, render_trend_report,
 };
-use caraml::resnet::{ResnetBenchmark, FIG4_BATCHES};
+use caraml::resnet::{fig4_device_counts, ResnetBenchmark, FIG4_BATCHES};
 use caraml::scenario::{check_against_native, Scenario};
 use caraml::serve::{load_grid, ArrivalKind, ServeBenchmark};
 use caraml::suite::{
@@ -271,6 +271,16 @@ fn run_suite(which: &str, tags: &[String], shard_opts: Option<(usize, u32)>) -> 
         ),
         _ => return usage(),
     };
+    let declared = benchmark.tags();
+    if let Some(bad) = tags.iter().find(|t| !declared.contains(t.as_str())) {
+        let valid: Vec<&str> = declared.into_iter().collect();
+        eprintln!(
+            "caraml: unknown tag '{bad}' for {} (valid: {})",
+            benchmark.name,
+            valid.join(", ")
+        );
+        return ExitCode::from(2);
+    }
     println!("caraml run {which} --tag {}\n", tags.join(" "));
     let run = match shard_opts {
         Some((shards, nodes)) => {
@@ -395,13 +405,7 @@ fn run_heatmap(
         Err(code) => return code,
     };
     let node = NodeConfig::shared(sys);
-    let max_dev = (node.devices_per_node * node.max_nodes.min(2)).max(1);
-    let mut devices = Vec::new();
-    let mut d = 1u32;
-    while d <= max_dev {
-        devices.push(d);
-        d *= 2;
-    }
+    let devices = fig4_device_counts(sys);
     let title = format!("ResNet50 images/s on {}", node.platform);
     let cells = match shard_opts {
         Some((shards, nodes)) => {
@@ -980,21 +984,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("systems") => {
-            let mut table = jube::ResultTable::new(
-                ["Platform", "Accelerator", "TDP/device (W)", "JUBE tag"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-            );
-            for node in NodeConfig::all() {
-                table.push_row(vec![
-                    node.platform.clone(),
-                    format!("{}x {}", node.devices_per_node, node.device.name),
-                    format!("{:.0}", node.tdp_per_device_w()),
-                    node.id.jube_tag().to_string(),
-                ]);
-            }
-            println!("{}", table.to_ascii());
+            println!("{}", render_device_table());
             ExitCode::SUCCESS
         }
         Some("run") => {

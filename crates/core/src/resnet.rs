@@ -500,6 +500,16 @@ pub const TABLE3_BATCHES: [u64; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 409
 pub const FIG4_DEVICES: [u32; 4] = [1, 2, 4, 8];
 pub const FIG4_BATCHES: [u64; 8] = [16, 32, 64, 128, 256, 512, 1024, 2048];
 
+/// One system's Fig. 4 device-count axis: powers of two up to two nodes,
+/// or one node where no interconnect exists (`max_nodes == 1`).
+pub fn fig4_device_counts(system: SystemId) -> Vec<u32> {
+    let node = NodeConfig::shared(system);
+    let max = (node.devices_per_node * node.max_nodes.min(2)).max(1);
+    std::iter::successors(Some(1u32), |d| d.checked_mul(2))
+        .take_while(|&d| d <= max)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -122,6 +122,10 @@ pub fn llm_benchmark_nvidia_amd() -> Benchmark {
 /// 117M GPT over an IPU-POD4, batch sizes in tokens.
 pub fn llm_benchmark_ipu() -> Benchmark {
     Benchmark::new("llm_benchmark_ipu")
+        // Declares `GC200`, the tag a run selects this benchmark by.
+        .with_parameter_set(
+            ParameterSet::new("system").with(Parameter::single("system", "GC200").tagged("GC200")),
+        )
         .with_parameter_set(
             ParameterSet::new("model")
                 .with(Parameter::single("model_size", "117M"))

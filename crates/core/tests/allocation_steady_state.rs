@@ -12,13 +12,13 @@
 //! one `#[test]` — because the workspace counters are process-global and
 //! concurrent tests would pollute them.
 
-use caraml_suite::caraml_data::SyntheticImages;
-use caraml_suite::caraml_models::{GptConfig, GptModel, ResnetConfig, ResnetModel};
-use caraml_suite::caraml_tensor::attention;
-use caraml_suite::caraml_tensor::init::{randn, rng};
-use caraml_suite::caraml_tensor::optim::{Adam, Optimizer, Sgd};
-use caraml_suite::caraml_tensor::workspace;
-use caraml_suite::caraml_tensor::Var;
+use caraml_data::SyntheticImages;
+use caraml_models::{GptConfig, GptModel, ResnetConfig, ResnetModel};
+use caraml_tensor::attention;
+use caraml_tensor::init::{randn, rng};
+use caraml_tensor::optim::{Adam, Optimizer, Sgd};
+use caraml_tensor::workspace;
+use caraml_tensor::Var;
 
 fn token_batch(vocab: usize, seq: usize, rows: usize) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
     let inputs: Vec<Vec<u32>> = (0..rows as u32)

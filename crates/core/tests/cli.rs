@@ -42,6 +42,44 @@ fn run_resnet_reports_oom_rows() {
 }
 
 #[test]
+fn run_rejects_a_tag_the_benchmark_does_not_declare() {
+    for (which, tag, valid) in [
+        ("llm", "NOPE", "EDGERV"),
+        ("llm", "H10", "GCD"),
+        ("resnet50", "NOPE", "GPU"),
+        // The IPU benchmark declares no MI250 mode.
+        ("llm", "GCD", "synthetic"),
+    ] {
+        let mut args = vec!["run", which, "--tag", tag];
+        if valid == "synthetic" {
+            args.insert(3, "GC200");
+        }
+        let out = caraml().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("'{tag}'")) && stderr.contains(valid),
+            "{args:?}: error must name the tag and list {valid}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not run a sweep");
+    }
+}
+
+#[test]
+fn run_llm_with_a_system_modifier_tag_runs_that_mode() {
+    let out = caraml()
+        .args(["run", "llm", "--tag", "MI250", "GCD"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("AMD MI250:GCD"),
+        "GCD rows expected:\n{stdout}"
+    );
+}
+
+#[test]
 fn heatmap_renders_grid() {
     let out = caraml().args(["heatmap", "WAIH100"]).output().unwrap();
     assert!(out.status.success());

@@ -4,9 +4,9 @@
 //! These are the eight "shape targets" of DESIGN.md — who wins, by
 //! roughly what factor, where crossovers fall.
 
-use caraml_suite::caraml::llm::{LlmBenchmark, FIG2_BATCHES};
-use caraml_suite::caraml::resnet::{ResnetBenchmark, FIG4_BATCHES};
-use caraml_suite::caraml_accel::SystemId;
+use caraml::llm::{LlmBenchmark, FIG2_BATCHES};
+use caraml::resnet::{ResnetBenchmark, FIG4_BATCHES};
+use caraml_accel::SystemId;
 
 fn llm(system: SystemId) -> LlmBenchmark {
     let mut b = LlmBenchmark::fig2(system);
@@ -84,7 +84,7 @@ fn claim7_fig4_gpu_heatmaps_peak_at_max_devices_max_batch() {
     // "In nearly all GPU cases, the best value achieved is for the
     // largest batch size using most GPUs."
     for system in [SystemId::WaiH100, SystemId::A100, SystemId::Mi250] {
-        let node = caraml_suite::caraml_accel::NodeConfig::for_system(system);
+        let node = caraml_accel::NodeConfig::for_system(system);
         let devs: Vec<u32> = (0..)
             .map(|i| 1u32 << i)
             .take_while(|&d| d <= node.devices_per_node * 2)

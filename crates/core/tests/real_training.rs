@@ -2,11 +2,11 @@
 //! GPT with autograd → Adam, and images → ResNet → SGD, plus Horovod-style
 //! data-parallel training across threads with the ring all-reduce.
 
-use caraml_suite::caraml_data::{BpeTokenizer, SyntheticCorpus, SyntheticImages, TokenBatcher};
-use caraml_suite::caraml_models::{GptConfig, GptModel, ResnetConfig, ResnetModel};
-use caraml_suite::caraml_parallel::ThreadComm;
-use caraml_suite::caraml_tensor::optim::{Adam, Optimizer, Sgd};
-use caraml_suite::caraml_tensor::Tensor;
+use caraml_data::{BpeTokenizer, SyntheticCorpus, SyntheticImages, TokenBatcher};
+use caraml_models::{GptConfig, GptModel, ResnetConfig, ResnetModel};
+use caraml_parallel::ThreadComm;
+use caraml_tensor::optim::{Adam, Optimizer, Sgd};
+use caraml_tensor::Tensor;
 use std::sync::Arc;
 
 #[test]

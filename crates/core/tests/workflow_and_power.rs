@@ -2,10 +2,8 @@
 //! together: JUBE benchmarks on the Slurm simulator producing jpwr-backed
 //! energy numbers, exactly the paper's `jube run` → `jube result` flow.
 
-use caraml_suite::caraml::suite::{
-    llm_benchmark_ipu, llm_benchmark_nvidia_amd, resnet50_benchmark,
-};
-use caraml_suite::jube::{JobState, SlurmSim};
+use caraml::suite::{llm_benchmark_ipu, llm_benchmark_nvidia_amd, resnet50_benchmark};
+use jube::{JobState, SlurmSim};
 
 fn tags(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()

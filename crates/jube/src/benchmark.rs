@@ -14,7 +14,7 @@ use crate::substitute::resolve_all;
 use crate::table::ResultTable;
 use crate::JubeError;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// One expanded parameter permutation.
@@ -111,6 +111,16 @@ impl Benchmark {
     pub fn with_step(mut self, step: Step) -> Self {
         self.steps.push(step);
         self
+    }
+
+    /// Every tag some parameter or step is gated on: the tags a run of
+    /// this benchmark can select (`jube run --tag`), in sorted order.
+    pub fn tags(&self) -> BTreeSet<&str> {
+        let params = self.parameter_sets.iter().flat_map(|s| &s.parameters);
+        params
+            .filter_map(|p| p.tag.as_deref())
+            .chain(self.steps.iter().filter_map(|s| s.tag.as_deref()))
+            .collect()
     }
 
     /// Expand the workpackages for a tag selection (without running).
@@ -420,6 +430,20 @@ mod tests {
         assert!(!plain.workpackages[0].values.contains_key("ran_ipu"));
         let ipu = b.run(&tags(&["GC200"])).unwrap();
         assert!(ipu.workpackages[0].values.contains_key("ran_ipu"));
+    }
+
+    #[test]
+    fn tags_lists_every_parameter_and_step_gate_once() {
+        let b = Benchmark::new("gated")
+            .with_parameter_set(
+                ParameterSet::new("p")
+                    .with(Parameter::single("x", 1))
+                    .with(Parameter::single("x", 2).tagged("H100"))
+                    .with(Parameter::single("y", 3).tagged("H100")),
+            )
+            .with_step(Step::new("ipu_only", |_| Ok(BTreeMap::new())).tagged("GC200"));
+        assert_eq!(b.tags().into_iter().collect::<Vec<_>>(), ["GC200", "H100"]);
+        assert!(area_benchmark().tags().is_empty());
     }
 
     #[test]

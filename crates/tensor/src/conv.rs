@@ -2,9 +2,8 @@
 //!
 //! These are the kernels behind the ResNet50 benchmark. The forward pass
 //! lowers convolution onto the packed GEMM of [`crate::matmul`]; the
-//! backward pass computes `dW = dy·colᵀ` and `dcol = Wᵀ·dy` through the
-//! same engine's transpose entry points ([`crate::matmul::gemm_nt_ws`],
-//! [`crate::matmul::gemm_tn_ws`]) — no operand is ever materialised
+//! backward pass computes `dW = dy·colᵀ` and `dcol = Wᵀ·dy` on the same
+//! engine through transposed strides — no operand is ever materialised
 //! transposed — then scatters `dcol` back with the standard col2im.
 //!
 //! Scratch discipline: every intermediate (im2col column buffers, GEMM
@@ -15,11 +14,19 @@
 //! from the global pool because their buffers are recycled by `Tensor`'s
 //! drop, which returns storage there.
 //!
+//! Parallelism: the batch splits into contiguous image groups, at most
+//! one per rayon worker, and each group runs its images' GEMMs serially.
+//! Every group's scratch is taken on the calling thread before the
+//! parallel map (and given back as each group ends), so how much scratch
+//! a call needs depends on the shape and the thread count only — never
+//! on how the workers happened to overlap — and one warm-up call
+//! provisions the pool for every later call.
+//!
 //! Conventions: activations are NCHW, weights are `[out_c, in_c, kh, kw]`.
 
-use crate::matmul::{gemm_nt_ws, gemm_tn_ws, gemm_ws};
+use crate::matmul::{Layout, Panels};
 use crate::tensor::Tensor;
-use crate::workspace::{self, Workspace};
+use crate::workspace::{self, ScratchVec, Workspace};
 use crate::TensorError;
 use rayon::prelude::*;
 
@@ -49,6 +56,13 @@ impl Conv2dCfg {
     pub fn out_dim(&self, input: usize, kernel: usize) -> usize {
         (input + 2 * self.padding - kernel) / self.stride + 1
     }
+}
+
+/// Split a batch of `n` images into contiguous groups, at most one per
+/// rayon worker: returns (images per group, group count).
+fn image_groups(n: usize) -> (usize, usize) {
+    let per = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
+    (per, n.div_ceil(per))
 }
 
 /// Lower `[c, h, w]` (single image) into a `[c·kh·kw, oh·ow]` column
@@ -168,23 +182,34 @@ pub fn conv2d_with(
     let x_data = x.data();
     let w_data = weight.data();
     let mut out = workspace::global().take_zeroed(n * oc * cols);
-    out.par_chunks_mut(oc * cols)
+    let (per, groups) = image_groups(n);
+    let scratch: Vec<_> = (0..groups)
+        .map(|_| {
+            let col_buf = ScratchVec::zeroed(ws, col_rows * cols);
+            (col_buf, Panels::take(ws, &[[oc, col_rows, cols]]))
+        })
+        .collect();
+    let (w_layout, col_layout) = (Layout::row_major(col_rows), Layout::row_major(cols));
+    out.par_chunks_mut(per * oc * cols)
+        .zip(scratch.into_par_iter())
         .enumerate()
-        .for_each(|(ni, out_img)| {
-            let mut col_buf = ws.take_zeroed(col_rows * cols);
-            im2col_single(
-                &x_data[ni * c * h * w..(ni + 1) * c * h * w],
-                c,
-                h,
-                w,
-                kh,
-                kw,
-                cfg,
-                &mut col_buf,
-            );
-            // [oc, col_rows] · [col_rows, cols] -> [oc, cols]
-            gemm_ws(w_data, &col_buf, out_img, oc, col_rows, cols, ws);
-            ws.give(col_buf);
+        .for_each(|(g, (out_group, (mut col_buf, mut panels)))| {
+            for (i, out_img) in out_group.chunks_mut(oc * cols).enumerate() {
+                let ni = g * per + i;
+                im2col_single(
+                    &x_data[ni * c * h * w..(ni + 1) * c * h * w],
+                    c,
+                    h,
+                    w,
+                    kh,
+                    kw,
+                    cfg,
+                    &mut col_buf,
+                );
+                // [oc, col_rows] · [col_rows, cols] -> [oc, cols]
+                let shape = [oc, col_rows, cols];
+                panels.gemm(w_data, w_layout, &col_buf, col_layout, out_img, shape);
+            }
         });
     Ok(Tensor::from_vec(out, [n, oc, oh, ow]))
 }
@@ -201,8 +226,8 @@ pub fn conv2d_backward(
 }
 
 /// [`conv2d_backward`] drawing all scratch from an explicit workspace.
-/// Both gradient GEMMs run directly on slices through the packed engine's
-/// transpose entry points; neither `dy` nor the weight matrix is copied.
+/// Both gradient GEMMs run directly on slices through transposed strides;
+/// neither `dy` nor the weight matrix is copied.
 pub fn conv2d_backward_with(
     x: &Tensor,
     weight: &Tensor,
@@ -233,47 +258,73 @@ pub fn conv2d_backward_with(
 
     let w_data = weight.data();
 
-    // Per-image partials computed in parallel, reduced afterwards. The
-    // reduction order over images is fixed (ni ascending) so dw is
-    // bit-identical regardless of how the parallel map is scheduled.
-    let parts: Vec<(Vec<f32>, Vec<f32>)> = (0..n)
-        .into_par_iter()
-        .map(|ni| {
-            let mut col_buf = ws.take_zeroed(col_rows * cols);
-            im2col_single(
-                &x_data[ni * c * h * w..(ni + 1) * c * h * w],
-                c,
-                h,
-                w,
-                kh,
-                kw,
-                cfg,
-                &mut col_buf,
-            );
-            let dy_img = &dy_data[ni * oc * cols..(ni + 1) * oc * cols];
-            // dW_i = dy_img · colᵀ : [oc, cols] · [col_rows, cols]ᵀ.
-            let mut dw_i = ws.take_zeroed(oc * col_rows);
-            gemm_nt_ws(dy_img, &col_buf, &mut dw_i, oc, cols, col_rows, ws);
-            // dcol = Wᵀ · dy_img : [oc, col_rows]ᵀ · [oc, cols].
-            let mut dcol = ws.take_zeroed(col_rows * cols);
-            gemm_tn_ws(w_data, dy_img, &mut dcol, col_rows, oc, cols, ws);
-            let mut dx_img = ws.take_zeroed(c * h * w);
-            col2im_single(&dcol, c, h, w, kh, kw, cfg, &mut dx_img);
-            ws.give(col_buf);
-            ws.give(dcol);
-            (dx_img, dw_i)
+    // Each image scatters its dx straight into its own slice of the
+    // output; its dw partial goes to its own slice of `dw_parts`, reduced
+    // afterwards in a fixed order (ni ascending) so dw is bit-identical
+    // however the parallel map is scheduled.
+    let mut dx = workspace::global().take_zeroed(n * c * h * w);
+    let mut dw_parts = ScratchVec::zeroed(ws, n * oc * col_rows);
+    let (per, groups) = image_groups(n);
+    let scratch: Vec<_> = (0..groups)
+        .map(|_| {
+            let col_buf = ScratchVec::zeroed(ws, col_rows * cols);
+            let dcol = ScratchVec::zeroed(ws, col_rows * cols);
+            let shapes = [[oc, cols, col_rows], [col_rows, oc, cols]];
+            (col_buf, dcol, Panels::take(ws, &shapes))
         })
         .collect();
+    let (row_cols, col_t) = (Layout::row_major(cols), Layout::transposed(cols));
+    let w_t = Layout::transposed(col_rows);
+    dx.par_chunks_mut(per * c * h * w)
+        .zip(dw_parts.par_chunks_mut(per * oc * col_rows))
+        .zip(scratch.into_par_iter())
+        .enumerate()
+        .for_each(
+            |(g, ((dx_group, dw_group), (mut col_buf, mut dcol, mut panels)))| {
+                let images = dx_group
+                    .chunks_mut(c * h * w)
+                    .zip(dw_group.chunks_mut(oc * col_rows));
+                for (i, (dx_img, dw_i)) in images.enumerate() {
+                    let ni = g * per + i;
+                    im2col_single(
+                        &x_data[ni * c * h * w..(ni + 1) * c * h * w],
+                        c,
+                        h,
+                        w,
+                        kh,
+                        kw,
+                        cfg,
+                        &mut col_buf,
+                    );
+                    let dy_img = &dy_data[ni * oc * cols..(ni + 1) * oc * cols];
+                    // dW_i = dy_img · colᵀ : [oc, cols] · [col_rows, cols]ᵀ.
+                    panels.gemm(
+                        dy_img,
+                        row_cols,
+                        &col_buf,
+                        col_t,
+                        dw_i,
+                        [oc, cols, col_rows],
+                    );
+                    // dcol = Wᵀ · dy_img : [oc, col_rows]ᵀ · [oc, cols].
+                    panels.gemm(
+                        w_data,
+                        w_t,
+                        dy_img,
+                        row_cols,
+                        &mut dcol,
+                        [col_rows, oc, cols],
+                    );
+                    col2im_single(&dcol, c, h, w, kh, kw, cfg, dx_img);
+                }
+            },
+        );
 
-    let mut dx = workspace::global().take_zeroed(n * c * h * w);
     let mut dw = workspace::global().take_zeroed(oc * col_rows);
-    for (ni, (dx_img, dw_i)) in parts.into_iter().enumerate() {
-        dx[ni * c * h * w..(ni + 1) * c * h * w].copy_from_slice(&dx_img);
-        for (acc, &v) in dw.iter_mut().zip(dw_i.iter()) {
+    for dw_i in dw_parts.chunks(oc * col_rows) {
+        for (acc, &v) in dw.iter_mut().zip(dw_i) {
             *acc += v;
         }
-        ws.give(dx_img);
-        ws.give(dw_i);
     }
     Ok((
         Tensor::from_vec(dx, [n, c, h, w]),
@@ -584,6 +635,40 @@ mod tests {
             let _ = conv2d_backward_with(&x, &w, &dy, cfg, &ws).unwrap();
         }
         assert_eq!(ws.stats().allocations, after_warmup);
+    }
+
+    /// Image groups partition the batch and nothing else: output and both
+    /// gradients are bit-identical at every thread count (3 images do not
+    /// split evenly over 2 or 4 workers), and at each thread count one
+    /// warm-up provisions the pool for every later call.
+    #[test]
+    fn conv_bit_identical_and_provisioned_at_any_thread_count() {
+        let cfg = Conv2dCfg::new(1, 1);
+        let x = Tensor::from_vec(seeded(3 * 4 * 12 * 12, 1.0), [3, 4, 12, 12]);
+        let w = Tensor::from_vec(seeded(8 * 4 * 3 * 3, 1.0), [8, 4, 3, 3]);
+        let dy = Tensor::from_vec(seeded(3 * 8 * 12 * 12, 0.5), [3, 8, 12, 12]);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let ws = Workspace::new();
+                let y = conv2d_with(&x, &w, cfg, &ws).unwrap();
+                let (dx, dw) = conv2d_backward_with(&x, &w, &dy, cfg, &ws).unwrap();
+                let warm = ws.stats().allocations;
+                for _ in 0..3 {
+                    conv2d_with(&x, &w, cfg, &ws).unwrap();
+                    conv2d_backward_with(&x, &w, &dy, cfg, &ws).unwrap();
+                }
+                assert_eq!(ws.stats().allocations, warm, "{threads} threads");
+                [y, dx, dw].map(|t| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            })
+        };
+        let serial = run(1);
+        for threads in [2, 3, 4] {
+            assert!(run(threads) == serial, "{threads} threads changed bits");
+        }
     }
 }
 

@@ -62,7 +62,7 @@
 
 use crate::simd::{self, Arm};
 use crate::tensor::Tensor;
-use crate::workspace::{self, Workspace};
+use crate::workspace::{self, ScratchVec, Workspace};
 use crate::TensorError;
 use rayon::prelude::*;
 
@@ -98,19 +98,19 @@ pub(crate) fn par_grain_flops() -> usize {
 /// Strides describing how a logical matrix element `(i, j)` maps into a
 /// flat slice: `data[i*rs + j*cs]`. Transposition is a stride swap.
 #[derive(Debug, Clone, Copy)]
-struct Layout {
+pub(crate) struct Layout {
     rs: usize,
     cs: usize,
 }
 
 impl Layout {
     /// Row-major `[rows, cols]`.
-    fn row_major(cols: usize) -> Layout {
+    pub(crate) fn row_major(cols: usize) -> Layout {
         Layout { rs: cols, cs: 1 }
     }
 
     /// Transpose of a row-major `[rows, cols]` buffer.
-    fn transposed(cols: usize) -> Layout {
+    pub(crate) fn transposed(cols: usize) -> Layout {
         Layout { rs: 1, cs: cols }
     }
 }
@@ -301,17 +301,13 @@ fn bmm_strided(
     let mut out = workspace::global().take_zeroed(batch * m * n);
     let flops = batch * m * k * n;
     let body = |(bi, chunk): (usize, &mut [f32])| {
-        gemm_strided(
+        Panels::take(workspace::global(), &[[m, k, n]]).gemm(
             &a_data[bi * a_stride..(bi + 1) * a_stride],
             la,
             &b_data[bi * b_stride..(bi + 1) * b_stride],
             lb,
             chunk,
-            m,
-            k,
-            n,
-            workspace::global(),
-            false,
+            [m, k, n],
         );
     };
     if batch > 1 && flops >= par_grain_flops() {
@@ -343,8 +339,7 @@ pub fn gemm_ws(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
         m,
         k,
         n,
-        ws,
-        true,
+        Scratch::Pool(ws),
     );
 }
 
@@ -375,8 +370,7 @@ pub fn gemm_nt_ws(
         m,
         k,
         n,
-        ws,
-        true,
+        Scratch::Pool(ws),
     );
 }
 
@@ -407,8 +401,7 @@ pub fn gemm_tn_ws(
         m,
         k,
         n,
-        ws,
-        true,
+        Scratch::Pool(ws),
     );
 }
 
@@ -442,8 +435,7 @@ pub fn gemm_bf16_nt_ws(
         m,
         k,
         n,
-        ws,
-        true,
+        Scratch::Pool(ws),
     );
 }
 
@@ -456,10 +448,65 @@ struct TileWriter(*mut f32);
 unsafe impl Send for TileWriter {}
 unsafe impl Sync for TileWriter {}
 
+/// Where a GEMM's packing panels come from.
+enum Scratch<'p, 'w> {
+    /// Drawn from a pool; a GEMM worth splitting runs on rayon.
+    Pool(&'w Workspace),
+    /// Taken up front by the caller; the GEMM runs on this thread only.
+    Panels(&'p mut Panels<'w>),
+}
+
+/// Packing panels of the serial GEMM path, one packed-A and one packed-B
+/// buffer, taken up front and given back on drop. A caller that runs
+/// several serial GEMMs at once (one per rayon worker group, as
+/// [`crate::conv`] does) takes them on its own thread before the parallel
+/// map, so the pool's demand follows the group count and never how the
+/// workers happened to overlap.
+pub(crate) struct Panels<'w> {
+    a: ScratchVec<'w>,
+    b: ScratchVec<'w>,
+    /// The SIMD arm, resolved on the thread that took the panels.
+    arm: Arm,
+}
+
+impl<'w> Panels<'w> {
+    /// Panels big enough for every `[m, k, n]` GEMM in `shapes`; shapes
+    /// below the packing cut-over need none.
+    pub(crate) fn take(ws: &'w Workspace, shapes: &[[usize; 3]]) -> Self {
+        let (mut a, mut b) = (0, 0);
+        for &[m, k, n] in shapes
+            .iter()
+            .filter(|s| s.iter().product::<usize>() >= SMALL_GEMM_FLOPS)
+        {
+            a = a.max(MC.min(m).div_ceil(MR) * MR * KC.min(k));
+            b = b.max(NC.min(n).div_ceil(NR) * NR * KC.min(k));
+        }
+        Panels {
+            a: ScratchVec::zeroed(ws, a),
+            b: ScratchVec::zeroed(ws, b),
+            arm: simd::active_arm(),
+        }
+    }
+
+    /// `C = A·B` (strides per [`Layout`]) on these panels, serially;
+    /// bit-identical to every other path of the engine.
+    pub(crate) fn gemm(
+        &mut self,
+        a: &[f32],
+        la: Layout,
+        b: &[f32],
+        lb: Layout,
+        c: &mut [f32],
+        [m, k, n]: [usize; 3],
+    ) {
+        gemm_strided(a, la, b, lb, c, m, k, n, Scratch::Panels(self));
+    }
+}
+
 /// Strided GEMM core. `c` is row-major `[m, n]` and is overwritten.
 ///
 /// The k-reduction order per output element is fixed (KC blocks ascending,
-/// `p` ascending within a block) and independent of both `allow_parallel`
+/// `p` ascending within a block) and independent of the scratch source
 /// and the rayon worker count: tasks partition *output* tiles only.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided<TB: PackElem>(
@@ -471,8 +518,7 @@ fn gemm_strided<TB: PackElem>(
     m: usize,
     k: usize,
     n: usize,
-    ws: &Workspace,
-    allow_parallel: bool,
+    scratch: Scratch<'_, '_>,
 ) {
     if m == 0 || n == 0 {
         return;
@@ -483,7 +529,10 @@ fn gemm_strided<TB: PackElem>(
     }
     // Arm + rounding contract resolved once on the calling thread so
     // thread-scoped overrides propagate into the rayon tile tasks.
-    let arm = simd::active_arm();
+    let arm = match &scratch {
+        Scratch::Pool(_) => simd::active_arm(),
+        Scratch::Panels(panels) => panels.arm,
+    };
     let fma = simd::fma_chains();
     if m * n * k < SMALL_GEMM_FLOPS {
         return if fma {
@@ -495,60 +544,55 @@ fn gemm_strided<TB: PackElem>(
     let n_it = m.div_ceil(MC);
     let n_jt = n.div_ceil(NC);
     let tiles = n_it * n_jt;
-    let par_tiles = allow_parallel
-        && tiles > 1
-        && rayon::current_num_threads() > 1
-        && m * n * k >= par_grain_flops();
-    // Panel prepacking parallelises over strips when the tile loop itself
-    // is serial but the problem is parallel-worthy (few big tiles); when
-    // the tile loop is already parallel the workers are busy and nested
-    // packing parallelism would only add stealing overhead.
-    let par_pack = allow_parallel
-        && !par_tiles
+    // A pool-backed GEMM worth splitting runs its output tiles on rayon,
+    // or — with a single big tile — the packing of its panel strips.
+    let parallel = matches!(scratch, Scratch::Pool(_))
         && rayon::current_num_threads() > 1
         && m * n * k >= par_grain_flops();
     let writer = TileWriter(c.as_mut_ptr());
-    let task = |t: usize| {
-        let (it, jt) = (t / n_jt, t % n_jt);
-        let i0 = it * MC;
-        let j0 = jt * NC;
-        let mc = MC.min(m - i0);
-        let nc = NC.min(n - j0);
-        compute_tile(
-            a, la, b, lb, writer, n, k, i0, mc, j0, nc, ws, arm, fma, par_pack,
-        );
-    };
-    if par_tiles {
-        (0..tiles).into_par_iter().for_each(task);
-    } else {
-        // Serial path in classic GotoBLAS loop order: a packed `kc×nc` B
-        // panel is shared across the whole MC sweep instead of being
-        // re-packed per output tile (the parallel path keeps per-task
-        // packing for isolation). Per output element the accumulation
-        // chain is identical — KC blocks ascending, `p` ascending, same
-        // microkernel — so serial and parallel stay bit-identical.
-        c.fill(0.0);
-        let kc_max = KC.min(k);
-        let mut a_pack = ws.take_zeroed(MC.min(m).div_ceil(MR) * MR * kc_max);
-        let mut b_pack = ws.take_zeroed(NC.min(n).div_ceil(NR) * NR * kc_max);
-        for jt in 0..n_jt {
-            let j0 = jt * NC;
-            let nc = NC.min(n - j0);
-            let mut p0 = 0;
-            while p0 < k {
-                let kc = KC.min(k - p0);
-                pack_b(b, lb, j0, nc, p0, kc, &mut b_pack, par_pack);
-                for it in 0..n_it {
-                    let i0 = it * MC;
-                    let mc = MC.min(m - i0);
-                    pack_a(a, la, i0, mc, p0, kc, &mut a_pack, par_pack);
-                    strip_sweep(writer, n, i0, mc, j0, nc, kc, &a_pack, &b_pack, arm, fma);
-                }
-                p0 += kc;
-            }
+    let mut own;
+    let panels = match scratch {
+        Scratch::Pool(ws) if parallel && tiles > 1 => {
+            (0..tiles).into_par_iter().for_each(|t: usize| {
+                let (it, jt) = (t / n_jt, t % n_jt);
+                let i0 = it * MC;
+                let j0 = jt * NC;
+                let mc = MC.min(m - i0);
+                let nc = NC.min(n - j0);
+                compute_tile(a, la, b, lb, writer, n, k, i0, mc, j0, nc, ws, arm, fma);
+            });
+            return;
         }
-        ws.give(a_pack);
-        ws.give(b_pack);
+        Scratch::Pool(ws) => {
+            own = Panels::take(ws, &[[m, k, n]]);
+            &mut own
+        }
+        Scratch::Panels(panels) => panels,
+    };
+    // Serial path in classic GotoBLAS loop order: a packed `kc×nc` B
+    // panel is shared across the whole MC sweep instead of being
+    // re-packed per output tile (the parallel path keeps per-task
+    // packing for isolation). Per output element the accumulation
+    // chain is identical — KC blocks ascending, `p` ascending, same
+    // microkernel — so serial and parallel stay bit-identical.
+    c.fill(0.0);
+    for jt in 0..n_jt {
+        let j0 = jt * NC;
+        let nc = NC.min(n - j0);
+        let mut p0 = 0;
+        while p0 < k {
+            let kc = KC.min(k - p0);
+            pack_b(b, lb, j0, nc, p0, kc, &mut panels.b, parallel);
+            for it in 0..n_it {
+                let i0 = it * MC;
+                let mc = MC.min(m - i0);
+                pack_a(a, la, i0, mc, p0, kc, &mut panels.a, parallel);
+                strip_sweep(
+                    writer, n, i0, mc, j0, nc, kc, &panels.a, &panels.b, arm, fma,
+                );
+            }
+            p0 += kc;
+        }
     }
 }
 
@@ -605,7 +649,9 @@ fn strip_sweep(
 }
 
 /// Compute one `mc×nc` output tile: zero it, then accumulate KC-deep
-/// packed blocks in ascending k order.
+/// packed blocks in ascending k order. Packing stays serial: the tile
+/// loop already keeps the workers busy, and nested packing parallelism
+/// would only add stealing overhead.
 #[allow(clippy::too_many_arguments)]
 fn compute_tile<TB: PackElem>(
     a: &[f32],
@@ -622,7 +668,6 @@ fn compute_tile<TB: PackElem>(
     ws: &Workspace,
     arm: Arm,
     fma: bool,
-    par_pack: bool,
 ) {
     let mr_strips = mc.div_ceil(MR);
     let nr_strips = nc.div_ceil(NR);
@@ -638,8 +683,8 @@ fn compute_tile<TB: PackElem>(
     let mut p0 = 0;
     while p0 < k {
         let kc = KC.min(k - p0);
-        pack_a(a, la, i0, mc, p0, kc, &mut a_pack, par_pack);
-        pack_b(b, lb, j0, nc, p0, kc, &mut b_pack, par_pack);
+        pack_a(a, la, i0, mc, p0, kc, &mut a_pack, false);
+        pack_b(b, lb, j0, nc, p0, kc, &mut b_pack, false);
         strip_sweep(writer, n, i0, mc, j0, nc, kc, &a_pack, &b_pack, arm, fma);
         p0 += kc;
     }

@@ -1,18 +1,20 @@
 # Developer task runner. Install `just`, or paste the recipes into a shell.
 
 # Full local gate: formatting, lints as errors (clippy also compiles
-# every bin, incl. `bench_json`), the test suite, and the tensor suite
-# re-run with the SIMD dispatcher forced to the scalar arm — the
-# portability fallback must stay green, not just compile.
+# every bin, incl. `bench_json`), every crate's tests (the root manifest
+# is a virtual workspace, so `cargo test` covers all members), and the
+# tensor, model and serving-determinism suites re-run with the SIMD
+# dispatcher forced to the scalar arm — the portability fallback must
+# stay green, and the serving FOM bits must not depend on the arm.
 verify:
     cargo fmt --check
     cargo clippy --workspace -- -D warnings
     cargo test -q
     just check-devices
     just check-scenario
-    just test-fleet
     CARAML_SIMD=off cargo test -q -p caraml-tensor
     CARAML_SIMD=off cargo test -q -p caraml-models
+    CARAML_SIMD=off cargo test -q -p caraml --test serve_determinism --test fleet_determinism
 
 # Load + validate every embedded device TOML through the registry and
 # diff the rendered `caraml devices` table against the committed golden
